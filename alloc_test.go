@@ -2,10 +2,13 @@ package roadrunner_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/sched"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/wasm"
 )
 
 // Allocation ceilings for the data plane's steady state, pinned by
@@ -13,7 +16,8 @@ import (
 // (DESIGN.md §10): a warm same-node kernel transfer allocates nothing in
 // the layers this repo owns. Plan submission builds a DAG, a job and its
 // result set, so it has a small fixed budget instead; pool submission is a
-// ring-buffer enqueue and must stay allocation-free. Raising any of these
+// ring-buffer enqueue and must stay allocation-free, and so must a warm
+// guest call through the Wasm interpreter. Raising any of these
 // numbers is a hot-path regression and needs DESIGN.md §10 justification
 // in the same change.
 const (
@@ -26,6 +30,9 @@ const (
 	// Its budget is per operation, not per target — the shared pass is what
 	// keeps it from scaling with N payload copies.
 	allocCeilingWarmFanout = 120
+	// A warm guest call runs in the instance's recycled interpreter frames
+	// (DESIGN.md §13): nothing is allocated per call.
+	allocCeilingGuestCall = 0
 )
 
 // allocFanoutDegree sizes the fan-out ceiling probe: enough targets that a
@@ -189,12 +196,58 @@ func benchPoolSubmit(b *testing.B) {
 	pool.Wait()
 }
 
+// benchWarmGuestConsume is the interpreter's allocation probe: a warm
+// wasm.Func.Call of the guest consume export over a payload the guest
+// produced — expected 0 allocs/op.
+func benchWarmGuestConsume(b *testing.B) {
+	m, err := wasm.Decode(guest.Module())
+	if err != nil {
+		b.Fatal(err)
+	}
+	// consume calls no import; every import is a stub that fails if called.
+	imports := wasm.Imports{}
+	for _, imp := range m.Imports {
+		imports.Add(imp.Module, imp.Name, wasm.HostFunc{
+			Type: m.Types[imp.TypeIndex],
+			Fn: func(*wasm.HostContext, []uint64) ([]uint64, error) {
+				return nil, errors.New("unexpected import call")
+			},
+		})
+	}
+	inst, err := wasm.Instantiate(m, imports, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := inst.Call(guest.ExportProduce, allocBenchPayload)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ptr, n := res[0]>>32, res[0]&0xFFFFFFFF
+	consume, err := inst.Func(guest.ExportConsume)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := guest.ReferenceChecksum(guest.ReferenceProduce(allocBenchPayload))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := consume.Call(ptr, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res[0] != want {
+			b.Fatalf("checksum %#x, want %#x", res[0], want)
+		}
+	}
+}
+
 func BenchmarkAllocWarmKernelTransfer(b *testing.B) { benchWarmKernelTransfer(b) }
 func BenchmarkAllocWarmFanout(b *testing.B)         { benchWarmFanout(b) }
 func BenchmarkAllocPlanSubmit(b *testing.B)         { benchPlanSubmit(b) }
 func BenchmarkAllocPoolSubmit(b *testing.B)         { benchPoolSubmit(b) }
+func BenchmarkAllocWarmGuestConsume(b *testing.B)   { benchWarmGuestConsume(b) }
 
-// TestAllocCeilings pins allocs/op ceilings for the three hot paths and
+// TestAllocCeilings pins allocs/op ceilings for the hot paths and
 // fails on any increase — the in-tree half of the perf gate (cmd/perfgate
 // guards the throughput trajectory; this guards the allocation one).
 func TestAllocCeilings(t *testing.T) {
@@ -213,6 +266,7 @@ func TestAllocCeilings(t *testing.T) {
 		{"warm-fanout", allocCeilingWarmFanout, benchWarmFanout},
 		{"plan-submit", allocCeilingPlanSubmit, benchPlanSubmit},
 		{"pool-submit", allocCeilingPoolSubmit, benchPoolSubmit},
+		{"warm-guest-consume", allocCeilingGuestCall, benchWarmGuestConsume},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -470,7 +470,10 @@ func TestPackUnpack(t *testing.T) {
 	}
 }
 
-func BenchmarkGuestSerialize1MB(b *testing.B) {
+// newBenchView instantiates the canonical guest for a benchmark, with a
+// WASI host on a fresh simulated process and a no-op send_to_host.
+func newBenchView(b *testing.B) (*wasm.Instance, *abi.View) {
+	b.Helper()
 	k := kernel.New("bench")
 	proc := k.NewProc("fn", nil)
 	host := wasi.NewHost(proc, nil)
@@ -489,6 +492,11 @@ func BenchmarkGuestSerialize1MB(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return inst, view
+}
+
+func BenchmarkGuestSerialize1MB(b *testing.B) {
+	_, view := newBenchView(b)
 	const n = 1 << 20
 	ptr, pn, err := view.CallPacked(guest.ExportProduce, n)
 	if err != nil {
@@ -502,6 +510,38 @@ func BenchmarkGuestSerialize1MB(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := view.Deallocate(sptr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGuestProduceChecksum256K is the interpreter layer's data-path
+// probe: the guest's produce and consume loops over a 256 KiB payload, the
+// in-sandbox work of one ingest request. Every iteration checks the
+// checksum against the Go reference.
+func BenchmarkGuestProduceChecksum256K(b *testing.B) {
+	inst, view := newBenchView(b)
+	const n = 256 << 10
+	consume, err := inst.Func(guest.ExportConsume)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := guest.ReferenceChecksum(guest.ReferenceProduce(n))
+	b.SetBytes(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ptr, pn, err := view.CallPacked(guest.ExportProduce, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := consume.Call(uint64(ptr), uint64(pn))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res[0] != want {
+			b.Fatalf("checksum %#x, want %#x", res[0], want)
+		}
+		if err := view.Deallocate(ptr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@ type instr struct {
 	op   byte
 	imm0 uint64
 	imm1 uint64
-	tbl  []uint32 // br_table depth vector
+	tbl  []uint64 // br_table: one resolved target per arm, default last
 }
 
 // compiledFunc is a function body ready for execution.
@@ -21,6 +21,7 @@ type compiledFunc struct {
 	numParams  int
 	numLocals  int // params + declared locals
 	numResults int
+	maxStack   int // operand-stack high-water mark over the body
 	code       []instr
 }
 
@@ -48,15 +49,42 @@ func blockArity(m *Module, bt int64) (int, error) {
 	}
 }
 
-// compileFunc flattens one function body into instrs, resolving the matching
-// else/end indices of structured control instructions:
+// Resolved control flow. Decode validates every body (decode.go), which
+// fixes the operand height at each instruction and the target of every
+// branch: its continuation pc, the label's entry height and the number of
+// values it carries. compileFunc resolves all of them, so the interpreter
+// keeps no runtime label stack:
 //
-//	block/loop: imm0 = arity, imm1 = index of matching end
-//	if:         imm0 = arity, imm1 = elseIdx<<32 | endIdx
-//	            (elseIdx = endIdx when the if has no else arm)
+//	br, br_if:  imm0 = target (pc<<32 | entry height), imm1 = arity
+//	br_table:   tbl  = one target per arm, default last;  imm1 = arity
+//	if:         imm0 = pc of the false arm (else+1, or end+1 without else)
+//	else:       imm0 = end+1, where the finished true arm continues
 //
-// Branch instructions keep their relative depth; the interpreter resolves
-// them against its runtime label stack.
+// A branch to a loop lands on loop+1, a branch to a block or if on end+1,
+// and a branch to the function label on the body's final end, which is
+// compiled to return. block, loop and every inner end are no-ops at run
+// time. Every branch target is therefore the slot after a loop, end or
+// else, or the final end — the fact fuse relies on.
+
+// ctrl is one open structured-control construct during compilation.
+type ctrl struct {
+	op          byte // opBlock, opLoop, opIf; 0 for the function body
+	pc          int  // index of the opening instruction
+	height      int  // operand height at entry
+	arity       int  // result values; a branch carries them, except to a loop
+	elsePC      int  // index of the else marker, -1 without one
+	fixups      []fixup
+	unreachable bool // the rest of the construct is dead code
+}
+
+// fixup is a forward branch awaiting its label's end: the instr at pc,
+// with arm indexing tbl (br_table) or -1 for imm0.
+type fixup struct{ pc, arm int }
+
+// compileFunc flattens one function body into instrs, resolving every
+// structured control instruction and branch (see above) and tracking the
+// operand height to size the frame's stack. The body must have passed
+// validation; the result runs unfused until fuse rewrites it.
 func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 	code := m.Codes[fnIdx]
 	ft := m.Types[m.FuncTypes[fnIdx]]
@@ -68,16 +96,50 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 	}
 
 	r := &reader{data: code.Body}
-	// openBlocks tracks indices of block/loop/if instrs awaiting their end.
-	var openBlocks []int
+	labels := []ctrl{{elsePC: -1, arity: len(ft.Results)}}
+	height := 0
 	nFuncs := uint32(m.NumImportedFuncs + len(m.FuncTypes))
 	nGlobals := uint32(countGlobalImports(m) + len(m.Globals))
 
+	// move applies an instruction's net stack effect. Dead code is stack-
+	// polymorphic, so its height is clamped at the construct's entry.
+	move := func(delta int) {
+		height += delta
+		if top := &labels[len(labels)-1]; top.unreachable && height < top.height {
+			height = top.height
+		}
+		cf.maxStack = max(cf.maxStack, height)
+	}
+	// unreachable marks the rest of the innermost construct dead.
+	unreachable := func() {
+		top := &labels[len(labels)-1]
+		height = top.height
+		top.unreachable = true
+	}
+	// target resolves a branch of relative depth d taken by the instr at
+	// fx.pc: a loop's target is known now, every other one is fixed up at
+	// the label's end.
+	target := func(d uint32, fx fixup) (uint64, uint64, error) {
+		if int(d) >= len(labels) {
+			return 0, 0, fmt.Errorf("branch depth %d of %d labels: %w", d, len(labels), ErrMalformed)
+		}
+		l := &labels[len(labels)-1-int(d)]
+		if l.op == opLoop {
+			return uint64(l.pc+1)<<32 | uint64(l.height), 0, nil
+		}
+		l.fixups = append(l.fixups, fx)
+		return uint64(l.height), uint64(l.arity), nil
+	}
+
 	for !r.done() {
+		if len(labels) == 0 {
+			return nil, fmt.Errorf("code after function end: %w", ErrMalformed)
+		}
 		op, err := r.byte()
 		if err != nil {
 			return nil, err
 		}
+		pc := len(cf.code)
 		in := instr{op: op}
 		switch op {
 		case opBlock, opLoop, opIf:
@@ -89,63 +151,85 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 			if err != nil {
 				return nil, err
 			}
-			in.imm0 = uint64(arity)
-			openBlocks = append(openBlocks, len(cf.code))
+			if op == opIf {
+				move(-1)
+			}
+			labels = append(labels, ctrl{op: op, pc: pc, height: height, arity: arity, elsePC: -1})
 
 		case opElse:
-			if len(openBlocks) == 0 {
+			top := &labels[len(labels)-1]
+			if len(labels) == 1 {
 				return nil, fmt.Errorf("else without if: %w", ErrMalformed)
 			}
-			owner := openBlocks[len(openBlocks)-1]
-			if cf.code[owner].op != opIf {
+			if top.op != opIf || top.elsePC >= 0 {
 				return nil, fmt.Errorf("else inside non-if block: %w", ErrMalformed)
 			}
-			// Temporarily record the else position in the if's imm1 high bits.
-			cf.code[owner].imm1 = uint64(len(cf.code)) << 32
+			top.elsePC = pc
+			height = top.height
+			top.unreachable = false
 
 		case opEnd:
-			if len(openBlocks) > 0 {
-				owner := openBlocks[len(openBlocks)-1]
-				openBlocks = openBlocks[:len(openBlocks)-1]
-				endIdx := uint64(len(cf.code))
-				switch cf.code[owner].op {
-				case opIf:
-					elseIdx := cf.code[owner].imm1 >> 32
-					if elseIdx == 0 {
-						elseIdx = endIdx // no else arm: false jumps to end
-					}
-					cf.code[owner].imm1 = elseIdx<<32 | endIdx
-				default:
-					cf.code[owner].imm1 = endIdx
+			top := labels[len(labels)-1]
+			labels = labels[:len(labels)-1]
+			cont := pc + 1
+			if len(labels) == 0 {
+				// The function's own end returns its results.
+				in.op = opReturn
+				cont = pc
+			} else {
+				height = top.height
+				move(top.arity)
+			}
+			if top.op == opIf {
+				cf.code[top.pc].imm0 = uint64(cont)
+				if top.elsePC >= 0 {
+					cf.code[top.pc].imm0 = uint64(top.elsePC + 1)
+					cf.code[top.elsePC].imm0 = uint64(cont)
 				}
 			}
-			// The function's own terminating end is kept as a plain marker.
+			for _, fx := range top.fixups {
+				t := &cf.code[fx.pc].imm0
+				if fx.arm >= 0 {
+					t = &cf.code[fx.pc].tbl[fx.arm]
+				}
+				*t |= uint64(cont) << 32
+			}
 
 		case opBr, opBrIf:
 			d, err := r.u32()
 			if err != nil {
 				return nil, err
 			}
-			in.imm0 = uint64(d)
+			if op == opBrIf {
+				move(-1)
+			}
+			if in.imm0, in.imm1, err = target(d, fixup{pc, -1}); err != nil {
+				return nil, err
+			}
+			if op == opBr {
+				unreachable()
+			}
 
 		case opBrTable:
 			n, err := r.u32()
 			if err != nil {
 				return nil, err
 			}
-			in.tbl = make([]uint32, 0, n)
-			for i := uint32(0); i < n; i++ {
+			move(-1)
+			in.tbl = make([]uint64, n+1)
+			for i := range in.tbl {
 				d, err := r.u32()
 				if err != nil {
 					return nil, err
 				}
-				in.tbl = append(in.tbl, d)
+				if in.tbl[i], in.imm1, err = target(d, fixup{pc, i}); err != nil {
+					return nil, err
+				}
 			}
-			def, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			in.imm0 = uint64(def)
+			unreachable()
+
+		case opReturn, opUnreachable:
+			unreachable()
 
 		case opCall:
 			fi, err := r.u32()
@@ -156,6 +240,11 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 				return nil, fmt.Errorf("call func %d: %w", fi, errIndexOutOfRange)
 			}
 			in.imm0 = uint64(fi)
+			callee, err := m.FuncType(fi)
+			if err != nil {
+				return nil, err
+			}
+			move(len(callee.Results) - len(callee.Params))
 
 		case opCallIndirect:
 			ti, err := r.u32()
@@ -171,6 +260,12 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 				return nil, fmt.Errorf("call_indirect table %d: %w", tb, ErrUnsupported)
 			}
 			in.imm0 = uint64(ti)
+			move(len(m.Types[ti].Results) - len(m.Types[ti].Params) - 1)
+
+		case opDrop:
+			move(-1)
+		case opSelect:
+			move(-2)
 
 		case opLocalGet, opLocalSet, opLocalTee:
 			idx, err := r.u32()
@@ -181,6 +276,12 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 				return nil, fmt.Errorf("local %d of %d: %w", idx, cf.numLocals, errIndexOutOfRange)
 			}
 			in.imm0 = uint64(idx)
+			switch op {
+			case opLocalGet:
+				move(1)
+			case opLocalSet:
+				move(-1)
+			}
 
 		case opGlobalGet, opGlobalSet:
 			idx, err := r.u32()
@@ -191,6 +292,11 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 				return nil, fmt.Errorf("global %d of %d: %w", idx, nGlobals, errIndexOutOfRange)
 			}
 			in.imm0 = uint64(idx)
+			if op == opGlobalGet {
+				move(1)
+			} else {
+				move(-1)
+			}
 
 		case opI32Const:
 			v, err := r.s32()
@@ -198,30 +304,37 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 				return nil, err
 			}
 			in.imm0 = uint64(uint32(v))
+			move(1)
 		case opI64Const:
 			v, err := r.s64()
 			if err != nil {
 				return nil, err
 			}
 			in.imm0 = uint64(v)
+			move(1)
 		case opF32Const:
 			b, err := r.bytes(4)
 			if err != nil {
 				return nil, err
 			}
 			in.imm0 = uint64(binary.LittleEndian.Uint32(b))
+			move(1)
 		case opF64Const:
 			b, err := r.bytes(8)
 			if err != nil {
 				return nil, err
 			}
 			in.imm0 = binary.LittleEndian.Uint64(b)
+			move(1)
 
 		case opMemorySize, opMemoryGrow:
 			if mb, err := r.byte(); err != nil {
 				return nil, err
 			} else if mb != 0 {
 				return nil, fmt.Errorf("memory index %d: %w", mb, ErrUnsupported)
+			}
+			if op == opMemorySize {
+				move(1)
 			}
 
 		case opPrefixFC:
@@ -243,6 +356,7 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 			default:
 				return nil, fmt.Errorf("0xFC opcode %d: %w", sub, ErrUnsupported)
 			}
+			move(-3)
 
 		default:
 			if op >= opI32Load && op <= opI64Store32 {
@@ -258,17 +372,79 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 			} else if !knownOpcode(op) {
 				return nil, fmt.Errorf("opcode 0x%02x: %w", op, ErrUnsupported)
 			}
+			sig := simpleSignatures[op]
+			move(len(sig.results) - len(sig.params))
 		}
 		cf.code = append(cf.code, in)
 	}
 
-	if len(openBlocks) != 0 {
-		return nil, fmt.Errorf("%d unterminated blocks: %w", len(openBlocks), ErrMalformed)
-	}
-	if len(cf.code) == 0 || cf.code[len(cf.code)-1].op != opEnd {
+	switch len(labels) {
+	case 0:
+		return cf, nil
+	case 1:
 		return nil, fmt.Errorf("function body not terminated by end: %w", ErrMalformed)
+	default:
+		return nil, fmt.Errorf("%d unterminated blocks: %w", len(labels)-1, ErrMalformed)
 	}
-	return cf, nil
+}
+
+// fuse rewrites the hot instruction runs of a compiled body into
+// superinstructions (opcodes.go lists the table), in place. A fused run's
+// first slot holds the superinstruction, which executes the whole run and
+// skips the rest; those slots keep their original instrs but are never
+// dispatched. No index moves, so every resolved branch target stays valid.
+//
+// No run may contain a branch target past its first slot, or a branch
+// would land mid-run. That holds by construction: every target is the
+// slot after a loop, end or else, or the final end (see compileFunc), and
+// a run holds no structured-control instr, so each later slot of a run
+// follows a fusable instr, never a marker.
+func fuse(code []instr) {
+	op := func(i int) byte {
+		if i < len(code) {
+			return code[i].op
+		}
+		return opUnreachable
+	}
+	for i := 0; i < len(code); i += span(code[i].op) {
+		in := &code[i]
+		next := op(i + 1)
+		switch {
+		case in.op == opLocalGet && next == opI32Const && op(i+2) == opI32Add:
+			fused := instr{op: opLocalGetI32AddC, imm0: in.imm0, imm1: code[i+1].imm0}
+			if op(i+3) == opLocalSet && code[i+3].imm0 == in.imm0 {
+				fused.op = opLocalI32AddCSet
+			}
+			*in = fused
+		case in.op == opLocalGet && next == opLocalGet:
+			*in = instr{op: opLocalGet2, imm0: in.imm0, imm1: code[i+1].imm0}
+		case in.op == opI32Const && next == opI32Add:
+			in.op = opI32AddC
+		case in.op == opI32Const && next == opI32Mul:
+			in.op = opI32MulC
+		case in.op == opI64Const && next == opI64Add:
+			in.op = opI64AddC
+		case in.op == opI64Const && next == opI64Mul:
+			in.op = opI64MulC
+		case in.op >= opI32Eqz && in.op <= opI64GeU && next == opBrIf:
+			*in = instr{op: opBrIfI32Eqz + (in.op - opI32Eqz), imm0: code[i+1].imm0, imm1: code[i+1].imm1}
+		}
+	}
+}
+
+// span is the number of slots an instr covers: its run's length for a
+// superinstruction, 1 for everything else.
+func span(op byte) int {
+	switch {
+	case op == opLocalI32AddCSet:
+		return 4
+	case op == opLocalGetI32AddC:
+		return 3
+	case op == opLocalGet2, op >= opI32AddC && op <= opI64MulC, op >= opBrIfI32Eqz && op <= opBrIfI64GeU:
+		return 2
+	default:
+		return 1
+	}
 }
 
 // knownOpcode reports whether the immediate-free opcode is implemented.

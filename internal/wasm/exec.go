@@ -1,28 +1,19 @@
 package wasm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 )
 
-// execLabel is one entry of the runtime control stack. contPC is where a
-// branch to this label resumes; stackH is the operand-stack height at block
-// entry; arity is the number of values a branch carries.
-type execLabel struct {
-	contPC int
-	stackH int
-	arity  int
-}
-
 // execFrame is the recycled scratch of one interpreter frame: operand
-// stack, control stack and locals. An Instance keeps one frame per call
-// depth and executes one call tree at a time (callers serialize, as the
-// shim's VM lock does), so a warm call reuses the frames its predecessors
-// grew and allocates nothing.
+// stack and locals. An Instance keeps one frame per call depth and executes
+// one call tree at a time (callers serialize, as the shim's VM lock does),
+// so a warm call reuses the frames its predecessors grew and allocates
+// nothing.
 type execFrame struct {
 	st     []uint64
-	labels []execLabel
 	locals []uint64
 }
 
@@ -68,116 +59,66 @@ func (inst *Instance) invoke(fnIdx uint32, args []uint64, depth int) ([]uint64, 
 	// Wasm locals beyond the parameters start at zero; a recycled frame
 	// still holds the previous call's values.
 	clear(locals[n:])
-	return inst.exec(f.cf, fr, locals, depth)
+	if len(fr.st) < f.cf.maxStack {
+		fr.st = make([]uint64, f.cf.maxStack)
+	}
+	return inst.exec(f.cf, fr.st, locals, depth)
 }
 
-// exec runs one compiled function body. The operand stack holds raw 64-bit
-// values: i32 in the low 32 bits, floats as IEEE bits. Stack and control
-// scratch live in the depth's frame; growth is persisted back on every exit
-// so the steady state runs in place.
-func (inst *Instance) exec(cf *compiledFunc, fr *execFrame, locals []uint64, depth int) ([]uint64, error) {
+// exec runs one compiled body. The operand stack holds raw 64-bit values:
+// i32 in the low 32 bits, floats as IEEE bits. st is the depth's frame
+// stack, presized to the body's maxStack, and st[:sp] is live; validation
+// fixes every height, so pushes index it directly and branches are the
+// pre-resolved jumps of compileFunc.
+func (inst *Instance) exec(cf *compiledFunc, st, locals []uint64, depth int) ([]uint64, error) {
 	var (
-		st     = fr.st[:0]
-		labels = fr.labels[:0]
-		code   = cf.code
-		mem    = inst.mem
+		sp   int
+		code = cf.code
+		mem  = inst.mem
 	)
-	defer func() {
-		fr.st = st[:0]
-		fr.labels = labels[:0]
-	}()
-
-	returnResults := func() ([]uint64, error) {
-		if len(st) < cf.numResults {
-			return nil, TrapStackUnderflow
-		}
-		// Results alias the frame; the caller consumes them before the
-		// frame's next use (see invoke).
-		return st[len(st)-cf.numResults:], nil
-	}
-
-	for pc := 0; pc < len(code); pc++ {
+	for pc := 0; ; pc++ {
 		in := &code[pc]
 		switch in.op {
 		case opUnreachable:
 			return nil, TrapUnreachable
-		case opNop:
+		case opNop, opBlock, opLoop, opEnd:
 
-		case opBlock:
-			labels = append(labels, execLabel{contPC: int(in.imm1) + 1, stackH: len(st), arity: int(in.imm0)})
-		case opLoop:
-			labels = append(labels, execLabel{contPC: pc, stackH: len(st), arity: 0})
 		case opIf:
-			n := len(st) - 1
-			cond := st[n]
-			st = st[:n]
-			elseIdx := int(in.imm1 >> 32)
-			endIdx := int(in.imm1 & 0xFFFFFFFF)
-			labels = append(labels, execLabel{contPC: endIdx + 1, stackH: len(st), arity: int(in.imm0)})
-			if cond == 0 {
-				if elseIdx == endIdx {
-					pc = endIdx - 1 // step onto end, which pops the label
-				} else {
-					pc = elseIdx // skip past the else marker
-				}
+			sp--
+			if st[sp] == 0 {
+				pc = int(in.imm0) - 1
 			}
 		case opElse:
-			// The true arm finished: jump to the owning if's end marker,
-			// which pops the label. contPC is end+1, so land on end-1 and
-			// let the loop's pc++ step onto the end instruction.
-			pc = labels[len(labels)-1].contPC - 2
-
-		case opEnd:
-			if len(labels) > 0 {
-				labels = labels[:len(labels)-1]
-			} else {
-				return returnResults()
-			}
+			pc = int(in.imm0) - 1
 
 		case opBr:
-			var err error
-			pc, labels, st, err = inst.branch(int(in.imm0), labels, st, cf)
-			if err != nil {
-				return returnResults()
-			}
+			pc, sp = branch(st, sp, in.imm0, in.imm1)
 		case opBrIf:
-			n := len(st) - 1
-			cond := st[n]
-			st = st[:n]
-			if cond != 0 {
-				var err error
-				pc, labels, st, err = inst.branch(int(in.imm0), labels, st, cf)
-				if err != nil {
-					return returnResults()
-				}
+			sp--
+			if st[sp] != 0 {
+				pc, sp = branch(st, sp, in.imm0, in.imm1)
 			}
 		case opBrTable:
-			n := len(st) - 1
-			idx := uint32(st[n])
-			st = st[:n]
-			d := uint32(in.imm0)
-			if int(idx) < len(in.tbl) {
-				d = in.tbl[idx]
+			sp--
+			t := in.tbl[len(in.tbl)-1]
+			if idx := uint32(st[sp]); idx < uint32(len(in.tbl)-1) {
+				t = in.tbl[idx]
 			}
-			var err error
-			pc, labels, st, err = inst.branch(int(d), labels, st, cf)
-			if err != nil {
-				return returnResults()
-			}
+			pc, sp = branch(st, sp, t, in.imm1)
 
 		case opReturn:
-			return returnResults()
+			// Results alias the frame; the caller consumes them before the
+			// frame's next use (see invoke).
+			return st[sp-cf.numResults : sp], nil
 
 		case opCall:
 			var err error
-			st, err = inst.doCall(uint32(in.imm0), st, depth)
-			if err != nil {
+			if sp, err = inst.doCall(uint32(in.imm0), st, sp, depth); err != nil {
 				return nil, err
 			}
 		case opCallIndirect:
-			n := len(st) - 1
-			elem := uint32(st[n])
-			st = st[:n]
+			sp--
+			elem := uint32(st[sp])
 			if inst.table == nil || int(elem) >= len(inst.table) {
 				return nil, TrapUndefinedElement
 			}
@@ -190,275 +131,335 @@ func (inst *Instance) exec(cf *compiledFunc, fr *execFrame, locals []uint64, dep
 				return nil, TrapIndirectType
 			}
 			var err error
-			st, err = inst.doCall(uint32(fi), st, depth)
-			if err != nil {
+			if sp, err = inst.doCall(uint32(fi), st, sp, depth); err != nil {
 				return nil, err
 			}
 
 		case opDrop:
-			st = st[:len(st)-1]
+			sp--
 		case opSelect:
-			n := len(st) - 1
-			c, b, a := st[n], st[n-1], st[n-2]
-			if c != 0 {
-				st[n-2] = a
-			} else {
-				st[n-2] = b
+			sp -= 2
+			if st[sp+1] == 0 {
+				st[sp-1] = st[sp]
 			}
-			st = st[:n-1]
 
 		case opLocalGet:
-			st = append(st, locals[in.imm0])
+			st[sp] = locals[in.imm0]
+			sp++
 		case opLocalSet:
-			n := len(st) - 1
-			locals[in.imm0] = st[n]
-			st = st[:n]
+			sp--
+			locals[in.imm0] = st[sp]
 		case opLocalTee:
-			locals[in.imm0] = st[len(st)-1]
+			locals[in.imm0] = st[sp-1]
 		case opGlobalGet:
-			st = append(st, inst.globals[in.imm0])
+			st[sp] = inst.globals[in.imm0]
+			sp++
 		case opGlobalSet:
 			if !inst.globmut[in.imm0] {
 				return nil, fmt.Errorf("global %d: %w", in.imm0, ErrGlobalImmutable)
 			}
-			n := len(st) - 1
-			inst.globals[in.imm0] = st[n]
-			st = st[:n]
+			sp--
+			inst.globals[in.imm0] = st[sp]
 
 		case opI32Const, opI64Const, opF32Const, opF64Const:
-			st = append(st, in.imm0)
+			st[sp] = in.imm0
+			sp++
+
+		// ---- superinstructions (fuse); each skips its run's dead slots ----
+		case opLocalGet2:
+			st[sp] = locals[in.imm0]
+			st[sp+1] = locals[in.imm1]
+			sp += 2
+			pc++
+		case opLocalGetI32AddC:
+			st[sp] = uint64(uint32(locals[in.imm0]) + uint32(in.imm1))
+			sp++
+			pc += 2
+		case opLocalI32AddCSet:
+			locals[in.imm0] = uint64(uint32(locals[in.imm0]) + uint32(in.imm1))
+			pc += 3
+		case opI32AddC:
+			st[sp-1] = uint64(uint32(st[sp-1]) + uint32(in.imm0))
+			pc++
+		case opI32MulC:
+			st[sp-1] = uint64(uint32(st[sp-1]) * uint32(in.imm0))
+			pc++
+		case opI64AddC:
+			st[sp-1] += in.imm0
+			pc++
+		case opI64MulC:
+			st[sp-1] *= in.imm0
+			pc++
+		case opBrIfI32Eqz:
+			sp--
+			pc, sp = brIf(uint32(st[sp]) == 0, st, sp, pc, in)
+		case opBrIfI32Eq:
+			sp -= 2
+			pc, sp = brIf(uint32(st[sp]) == uint32(st[sp+1]), st, sp, pc, in)
+		case opBrIfI32Ne:
+			sp -= 2
+			pc, sp = brIf(uint32(st[sp]) != uint32(st[sp+1]), st, sp, pc, in)
+		case opBrIfI32LtS:
+			sp -= 2
+			pc, sp = brIf(int32(st[sp]) < int32(st[sp+1]), st, sp, pc, in)
+		case opBrIfI32LtU:
+			sp -= 2
+			pc, sp = brIf(uint32(st[sp]) < uint32(st[sp+1]), st, sp, pc, in)
+		case opBrIfI32GtS:
+			sp -= 2
+			pc, sp = brIf(int32(st[sp]) > int32(st[sp+1]), st, sp, pc, in)
+		case opBrIfI32GtU:
+			sp -= 2
+			pc, sp = brIf(uint32(st[sp]) > uint32(st[sp+1]), st, sp, pc, in)
+		case opBrIfI32LeS:
+			sp -= 2
+			pc, sp = brIf(int32(st[sp]) <= int32(st[sp+1]), st, sp, pc, in)
+		case opBrIfI32LeU:
+			sp -= 2
+			pc, sp = brIf(uint32(st[sp]) <= uint32(st[sp+1]), st, sp, pc, in)
+		case opBrIfI32GeS:
+			sp -= 2
+			pc, sp = brIf(int32(st[sp]) >= int32(st[sp+1]), st, sp, pc, in)
+		case opBrIfI32GeU:
+			sp -= 2
+			pc, sp = brIf(uint32(st[sp]) >= uint32(st[sp+1]), st, sp, pc, in)
+		case opBrIfI64Eqz:
+			sp--
+			pc, sp = brIf(st[sp] == 0, st, sp, pc, in)
+		case opBrIfI64Eq:
+			sp -= 2
+			pc, sp = brIf(st[sp] == st[sp+1], st, sp, pc, in)
+		case opBrIfI64Ne:
+			sp -= 2
+			pc, sp = brIf(st[sp] != st[sp+1], st, sp, pc, in)
+		case opBrIfI64LtS:
+			sp -= 2
+			pc, sp = brIf(int64(st[sp]) < int64(st[sp+1]), st, sp, pc, in)
+		case opBrIfI64LtU:
+			sp -= 2
+			pc, sp = brIf(st[sp] < st[sp+1], st, sp, pc, in)
+		case opBrIfI64GtS:
+			sp -= 2
+			pc, sp = brIf(int64(st[sp]) > int64(st[sp+1]), st, sp, pc, in)
+		case opBrIfI64GtU:
+			sp -= 2
+			pc, sp = brIf(st[sp] > st[sp+1], st, sp, pc, in)
+		case opBrIfI64LeS:
+			sp -= 2
+			pc, sp = brIf(int64(st[sp]) <= int64(st[sp+1]), st, sp, pc, in)
+		case opBrIfI64LeU:
+			sp -= 2
+			pc, sp = brIf(st[sp] <= st[sp+1], st, sp, pc, in)
+		case opBrIfI64GeS:
+			sp -= 2
+			pc, sp = brIf(int64(st[sp]) >= int64(st[sp+1]), st, sp, pc, in)
+		case opBrIfI64GeU:
+			sp -= 2
+			pc, sp = brIf(st[sp] >= st[sp+1], st, sp, pc, in)
 
 		// ---- memory ----
-		case opI32Load, opF32Load:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 4)
-			if err != nil {
+		// Each access makes one inline comparison against the memory size;
+		// an out-of-bounds access falls through to load/store, which build
+		// the TrapOutOfBounds error.
+		case opI32Load, opF32Load, opI64Load32U:
+			ea := uint64(uint32(st[sp-1])) + in.imm0
+			if ea+4 > uint64(len(mem.data)) {
+				_, err := mem.load(ea, 4)
 				return nil, err
 			}
-			st[n] = v
+			st[sp-1] = uint64(binary.LittleEndian.Uint32(mem.data[ea:]))
 		case opI64Load, opF64Load:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 8)
-			if err != nil {
+			ea := uint64(uint32(st[sp-1])) + in.imm0
+			if ea+8 > uint64(len(mem.data)) {
+				_, err := mem.load(ea, 8)
 				return nil, err
 			}
-			st[n] = v
+			st[sp-1] = binary.LittleEndian.Uint64(mem.data[ea:])
+		case opI32Load8U, opI64Load8U:
+			ea := uint64(uint32(st[sp-1])) + in.imm0
+			if ea >= uint64(len(mem.data)) {
+				_, err := mem.load(ea, 1)
+				return nil, err
+			}
+			st[sp-1] = uint64(mem.data[ea])
+		case opI32Load16U, opI64Load16U:
+			ea := uint64(uint32(st[sp-1])) + in.imm0
+			if ea+2 > uint64(len(mem.data)) {
+				_, err := mem.load(ea, 2)
+				return nil, err
+			}
+			st[sp-1] = uint64(binary.LittleEndian.Uint16(mem.data[ea:]))
 		case opI32Load8S:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 1)
+			v, err := mem.load(uint64(uint32(st[sp-1]))+in.imm0, 1)
 			if err != nil {
 				return nil, err
 			}
-			st[n] = uint64(uint32(int32(int8(v))))
-		case opI32Load8U:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 1)
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
+			st[sp-1] = uint64(uint32(int32(int8(v))))
 		case opI32Load16S:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 2)
+			v, err := mem.load(uint64(uint32(st[sp-1]))+in.imm0, 2)
 			if err != nil {
 				return nil, err
 			}
-			st[n] = uint64(uint32(int32(int16(v))))
-		case opI32Load16U:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 2)
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
+			st[sp-1] = uint64(uint32(int32(int16(v))))
 		case opI64Load8S:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 1)
+			v, err := mem.load(uint64(uint32(st[sp-1]))+in.imm0, 1)
 			if err != nil {
 				return nil, err
 			}
-			st[n] = uint64(int64(int8(v)))
-		case opI64Load8U:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 1)
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
+			st[sp-1] = uint64(int64(int8(v)))
 		case opI64Load16S:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 2)
+			v, err := mem.load(uint64(uint32(st[sp-1]))+in.imm0, 2)
 			if err != nil {
 				return nil, err
 			}
-			st[n] = uint64(int64(int16(v)))
-		case opI64Load16U:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 2)
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
+			st[sp-1] = uint64(int64(int16(v)))
 		case opI64Load32S:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 4)
+			v, err := mem.load(uint64(uint32(st[sp-1]))+in.imm0, 4)
 			if err != nil {
 				return nil, err
 			}
-			st[n] = uint64(int64(int32(v)))
-		case opI64Load32U:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 4)
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
+			st[sp-1] = uint64(int64(int32(v)))
 
-		case opI32Store, opF32Store:
-			n := len(st) - 1
-			if err := mem.store(uint64(uint32(st[n-1]))+in.imm0, 4, st[n]); err != nil {
-				return nil, err
+		case opI32Store, opF32Store, opI64Store32:
+			sp -= 2
+			ea := uint64(uint32(st[sp])) + in.imm0
+			if ea+4 > uint64(len(mem.data)) {
+				return nil, mem.store(ea, 4, st[sp+1])
 			}
-			st = st[:n-1]
+			binary.LittleEndian.PutUint32(mem.data[ea:], uint32(st[sp+1]))
 		case opI64Store, opF64Store:
-			n := len(st) - 1
-			if err := mem.store(uint64(uint32(st[n-1]))+in.imm0, 8, st[n]); err != nil {
-				return nil, err
+			sp -= 2
+			ea := uint64(uint32(st[sp])) + in.imm0
+			if ea+8 > uint64(len(mem.data)) {
+				return nil, mem.store(ea, 8, st[sp+1])
 			}
-			st = st[:n-1]
+			binary.LittleEndian.PutUint64(mem.data[ea:], st[sp+1])
 		case opI32Store8, opI64Store8:
-			n := len(st) - 1
-			if err := mem.store(uint64(uint32(st[n-1]))+in.imm0, 1, st[n]); err != nil {
-				return nil, err
+			sp -= 2
+			ea := uint64(uint32(st[sp])) + in.imm0
+			if ea >= uint64(len(mem.data)) {
+				return nil, mem.store(ea, 1, st[sp+1])
 			}
-			st = st[:n-1]
+			mem.data[ea] = byte(st[sp+1])
 		case opI32Store16, opI64Store16:
-			n := len(st) - 1
-			if err := mem.store(uint64(uint32(st[n-1]))+in.imm0, 2, st[n]); err != nil {
-				return nil, err
+			sp -= 2
+			ea := uint64(uint32(st[sp])) + in.imm0
+			if ea+2 > uint64(len(mem.data)) {
+				return nil, mem.store(ea, 2, st[sp+1])
 			}
-			st = st[:n-1]
-		case opI64Store32:
-			n := len(st) - 1
-			if err := mem.store(uint64(uint32(st[n-1]))+in.imm0, 4, st[n]); err != nil {
-				return nil, err
-			}
-			st = st[:n-1]
+			binary.LittleEndian.PutUint16(mem.data[ea:], uint16(st[sp+1]))
 
 		case opMemorySize:
-			st = append(st, uint64(mem.Pages()))
+			st[sp] = uint64(mem.Pages())
+			sp++
 		case opMemoryGrow:
-			n := len(st) - 1
-			st[n] = uint64(uint32(mem.Grow(uint32(st[n]))))
+			st[sp-1] = uint64(uint32(mem.Grow(uint32(st[sp-1]))))
 		case opMemoryCopySyn:
-			n := len(st) - 1
-			cnt, src, dst := st[n], st[n-1], st[n-2]
-			st = st[:n-2]
+			sp -= 3
+			dst, src, cnt := st[sp], st[sp+1], st[sp+2]
 			if err := mem.copyWithin(uint64(uint32(dst)), uint64(uint32(src)), uint64(uint32(cnt))); err != nil {
 				return nil, err
 			}
 		case opMemoryFillSyn:
-			n := len(st) - 1
-			cnt, val, dst := st[n], st[n-1], st[n-2]
-			st = st[:n-2]
+			sp -= 3
+			dst, val, cnt := st[sp], st[sp+1], st[sp+2]
 			if err := mem.fill(uint64(uint32(dst)), uint64(uint32(cnt)), byte(val)); err != nil {
 				return nil, err
 			}
 
 		// ---- i32 compare ----
 		case opI32Eqz:
-			n := len(st) - 1
-			st[n] = b2u(uint32(st[n]) == 0)
+			st[sp-1] = b2u(uint32(st[sp-1]) == 0)
 		case opI32Eq:
-			st = cmp32(st, func(a, b uint32) bool { return a == b })
+			sp = cmp32(st, sp, func(a, b uint32) bool { return a == b })
 		case opI32Ne:
-			st = cmp32(st, func(a, b uint32) bool { return a != b })
+			sp = cmp32(st, sp, func(a, b uint32) bool { return a != b })
 		case opI32LtS:
-			st = cmp32(st, func(a, b uint32) bool { return int32(a) < int32(b) })
+			sp = cmp32(st, sp, func(a, b uint32) bool { return int32(a) < int32(b) })
 		case opI32LtU:
-			st = cmp32(st, func(a, b uint32) bool { return a < b })
+			sp = cmp32(st, sp, func(a, b uint32) bool { return a < b })
 		case opI32GtS:
-			st = cmp32(st, func(a, b uint32) bool { return int32(a) > int32(b) })
+			sp = cmp32(st, sp, func(a, b uint32) bool { return int32(a) > int32(b) })
 		case opI32GtU:
-			st = cmp32(st, func(a, b uint32) bool { return a > b })
+			sp = cmp32(st, sp, func(a, b uint32) bool { return a > b })
 		case opI32LeS:
-			st = cmp32(st, func(a, b uint32) bool { return int32(a) <= int32(b) })
+			sp = cmp32(st, sp, func(a, b uint32) bool { return int32(a) <= int32(b) })
 		case opI32LeU:
-			st = cmp32(st, func(a, b uint32) bool { return a <= b })
+			sp = cmp32(st, sp, func(a, b uint32) bool { return a <= b })
 		case opI32GeS:
-			st = cmp32(st, func(a, b uint32) bool { return int32(a) >= int32(b) })
+			sp = cmp32(st, sp, func(a, b uint32) bool { return int32(a) >= int32(b) })
 		case opI32GeU:
-			st = cmp32(st, func(a, b uint32) bool { return a >= b })
+			sp = cmp32(st, sp, func(a, b uint32) bool { return a >= b })
 
 		// ---- i64 compare ----
 		case opI64Eqz:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = b2u(st[n] == 0)
 		case opI64Eq:
-			st = cmp64(st, func(a, b uint64) bool { return a == b })
+			sp = cmp64(st, sp, func(a, b uint64) bool { return a == b })
 		case opI64Ne:
-			st = cmp64(st, func(a, b uint64) bool { return a != b })
+			sp = cmp64(st, sp, func(a, b uint64) bool { return a != b })
 		case opI64LtS:
-			st = cmp64(st, func(a, b uint64) bool { return int64(a) < int64(b) })
+			sp = cmp64(st, sp, func(a, b uint64) bool { return int64(a) < int64(b) })
 		case opI64LtU:
-			st = cmp64(st, func(a, b uint64) bool { return a < b })
+			sp = cmp64(st, sp, func(a, b uint64) bool { return a < b })
 		case opI64GtS:
-			st = cmp64(st, func(a, b uint64) bool { return int64(a) > int64(b) })
+			sp = cmp64(st, sp, func(a, b uint64) bool { return int64(a) > int64(b) })
 		case opI64GtU:
-			st = cmp64(st, func(a, b uint64) bool { return a > b })
+			sp = cmp64(st, sp, func(a, b uint64) bool { return a > b })
 		case opI64LeS:
-			st = cmp64(st, func(a, b uint64) bool { return int64(a) <= int64(b) })
+			sp = cmp64(st, sp, func(a, b uint64) bool { return int64(a) <= int64(b) })
 		case opI64LeU:
-			st = cmp64(st, func(a, b uint64) bool { return a <= b })
+			sp = cmp64(st, sp, func(a, b uint64) bool { return a <= b })
 		case opI64GeS:
-			st = cmp64(st, func(a, b uint64) bool { return int64(a) >= int64(b) })
+			sp = cmp64(st, sp, func(a, b uint64) bool { return int64(a) >= int64(b) })
 		case opI64GeU:
-			st = cmp64(st, func(a, b uint64) bool { return a >= b })
+			sp = cmp64(st, sp, func(a, b uint64) bool { return a >= b })
 
 		// ---- f32/f64 compare ----
 		case opF32Eq:
-			st = cmpF32(st, func(a, b float32) bool { return a == b })
+			sp = cmpF32(st, sp, func(a, b float32) bool { return a == b })
 		case opF32Ne:
-			st = cmpF32(st, func(a, b float32) bool { return a != b })
+			sp = cmpF32(st, sp, func(a, b float32) bool { return a != b })
 		case opF32Lt:
-			st = cmpF32(st, func(a, b float32) bool { return a < b })
+			sp = cmpF32(st, sp, func(a, b float32) bool { return a < b })
 		case opF32Gt:
-			st = cmpF32(st, func(a, b float32) bool { return a > b })
+			sp = cmpF32(st, sp, func(a, b float32) bool { return a > b })
 		case opF32Le:
-			st = cmpF32(st, func(a, b float32) bool { return a <= b })
+			sp = cmpF32(st, sp, func(a, b float32) bool { return a <= b })
 		case opF32Ge:
-			st = cmpF32(st, func(a, b float32) bool { return a >= b })
+			sp = cmpF32(st, sp, func(a, b float32) bool { return a >= b })
 		case opF64Eq:
-			st = cmpF64(st, func(a, b float64) bool { return a == b })
+			sp = cmpF64(st, sp, func(a, b float64) bool { return a == b })
 		case opF64Ne:
-			st = cmpF64(st, func(a, b float64) bool { return a != b })
+			sp = cmpF64(st, sp, func(a, b float64) bool { return a != b })
 		case opF64Lt:
-			st = cmpF64(st, func(a, b float64) bool { return a < b })
+			sp = cmpF64(st, sp, func(a, b float64) bool { return a < b })
 		case opF64Gt:
-			st = cmpF64(st, func(a, b float64) bool { return a > b })
+			sp = cmpF64(st, sp, func(a, b float64) bool { return a > b })
 		case opF64Le:
-			st = cmpF64(st, func(a, b float64) bool { return a <= b })
+			sp = cmpF64(st, sp, func(a, b float64) bool { return a <= b })
 		case opF64Ge:
-			st = cmpF64(st, func(a, b float64) bool { return a >= b })
+			sp = cmpF64(st, sp, func(a, b float64) bool { return a >= b })
 
 		// ---- i32 arithmetic ----
 		case opI32Clz:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(bits.LeadingZeros32(uint32(st[n])))
 		case opI32Ctz:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(bits.TrailingZeros32(uint32(st[n])))
 		case opI32Popcnt:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(bits.OnesCount32(uint32(st[n])))
 		case opI32Add:
-			st = bin32(st, func(a, b uint32) uint32 { return a + b })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return a + b })
 		case opI32Sub:
-			st = bin32(st, func(a, b uint32) uint32 { return a - b })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return a - b })
 		case opI32Mul:
-			st = bin32(st, func(a, b uint32) uint32 { return a * b })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return a * b })
 		case opI32DivS:
-			n := len(st) - 1
+			n := sp - 1
 			a, b := int32(st[n-1]), int32(st[n])
 			if b == 0 {
 				return nil, TrapDivByZero
@@ -467,17 +468,17 @@ func (inst *Instance) exec(cf *compiledFunc, fr *execFrame, locals []uint64, dep
 				return nil, TrapIntegerOverflow
 			}
 			st[n-1] = uint64(uint32(a / b))
-			st = st[:n]
+			sp = n
 		case opI32DivU:
-			n := len(st) - 1
+			n := sp - 1
 			a, b := uint32(st[n-1]), uint32(st[n])
 			if b == 0 {
 				return nil, TrapDivByZero
 			}
 			st[n-1] = uint64(a / b)
-			st = st[:n]
+			sp = n
 		case opI32RemS:
-			n := len(st) - 1
+			n := sp - 1
 			a, b := int32(st[n-1]), int32(st[n])
 			if b == 0 {
 				return nil, TrapDivByZero
@@ -487,50 +488,50 @@ func (inst *Instance) exec(cf *compiledFunc, fr *execFrame, locals []uint64, dep
 			} else {
 				st[n-1] = uint64(uint32(a % b))
 			}
-			st = st[:n]
+			sp = n
 		case opI32RemU:
-			n := len(st) - 1
+			n := sp - 1
 			a, b := uint32(st[n-1]), uint32(st[n])
 			if b == 0 {
 				return nil, TrapDivByZero
 			}
 			st[n-1] = uint64(a % b)
-			st = st[:n]
+			sp = n
 		case opI32And:
-			st = bin32(st, func(a, b uint32) uint32 { return a & b })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return a & b })
 		case opI32Or:
-			st = bin32(st, func(a, b uint32) uint32 { return a | b })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return a | b })
 		case opI32Xor:
-			st = bin32(st, func(a, b uint32) uint32 { return a ^ b })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return a ^ b })
 		case opI32Shl:
-			st = bin32(st, func(a, b uint32) uint32 { return a << (b & 31) })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return a << (b & 31) })
 		case opI32ShrS:
-			st = bin32(st, func(a, b uint32) uint32 { return uint32(int32(a) >> (b & 31)) })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return uint32(int32(a) >> (b & 31)) })
 		case opI32ShrU:
-			st = bin32(st, func(a, b uint32) uint32 { return a >> (b & 31) })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return a >> (b & 31) })
 		case opI32Rotl:
-			st = bin32(st, func(a, b uint32) uint32 { return bits.RotateLeft32(a, int(b&31)) })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return bits.RotateLeft32(a, int(b&31)) })
 		case opI32Rotr:
-			st = bin32(st, func(a, b uint32) uint32 { return bits.RotateLeft32(a, -int(b&31)) })
+			sp = bin32(st, sp, func(a, b uint32) uint32 { return bits.RotateLeft32(a, -int(b&31)) })
 
 		// ---- i64 arithmetic ----
 		case opI64Clz:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(bits.LeadingZeros64(st[n]))
 		case opI64Ctz:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(bits.TrailingZeros64(st[n]))
 		case opI64Popcnt:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(bits.OnesCount64(st[n]))
 		case opI64Add:
-			st = bin64(st, func(a, b uint64) uint64 { return a + b })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return a + b })
 		case opI64Sub:
-			st = bin64(st, func(a, b uint64) uint64 { return a - b })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return a - b })
 		case opI64Mul:
-			st = bin64(st, func(a, b uint64) uint64 { return a * b })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return a * b })
 		case opI64DivS:
-			n := len(st) - 1
+			n := sp - 1
 			a, b := int64(st[n-1]), int64(st[n])
 			if b == 0 {
 				return nil, TrapDivByZero
@@ -539,16 +540,16 @@ func (inst *Instance) exec(cf *compiledFunc, fr *execFrame, locals []uint64, dep
 				return nil, TrapIntegerOverflow
 			}
 			st[n-1] = uint64(a / b)
-			st = st[:n]
+			sp = n
 		case opI64DivU:
-			n := len(st) - 1
+			n := sp - 1
 			if st[n] == 0 {
 				return nil, TrapDivByZero
 			}
 			st[n-1] = st[n-1] / st[n]
-			st = st[:n]
+			sp = n
 		case opI64RemS:
-			n := len(st) - 1
+			n := sp - 1
 			a, b := int64(st[n-1]), int64(st[n])
 			if b == 0 {
 				return nil, TrapDivByZero
@@ -558,254 +559,251 @@ func (inst *Instance) exec(cf *compiledFunc, fr *execFrame, locals []uint64, dep
 			} else {
 				st[n-1] = uint64(a % b)
 			}
-			st = st[:n]
+			sp = n
 		case opI64RemU:
-			n := len(st) - 1
+			n := sp - 1
 			if st[n] == 0 {
 				return nil, TrapDivByZero
 			}
 			st[n-1] = st[n-1] % st[n]
-			st = st[:n]
+			sp = n
 		case opI64And:
-			st = bin64(st, func(a, b uint64) uint64 { return a & b })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return a & b })
 		case opI64Or:
-			st = bin64(st, func(a, b uint64) uint64 { return a | b })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return a | b })
 		case opI64Xor:
-			st = bin64(st, func(a, b uint64) uint64 { return a ^ b })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return a ^ b })
 		case opI64Shl:
-			st = bin64(st, func(a, b uint64) uint64 { return a << (b & 63) })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return a << (b & 63) })
 		case opI64ShrS:
-			st = bin64(st, func(a, b uint64) uint64 { return uint64(int64(a) >> (b & 63)) })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return uint64(int64(a) >> (b & 63)) })
 		case opI64ShrU:
-			st = bin64(st, func(a, b uint64) uint64 { return a >> (b & 63) })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return a >> (b & 63) })
 		case opI64Rotl:
-			st = bin64(st, func(a, b uint64) uint64 { return bits.RotateLeft64(a, int(b&63)) })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return bits.RotateLeft64(a, int(b&63)) })
 		case opI64Rotr:
-			st = bin64(st, func(a, b uint64) uint64 { return bits.RotateLeft64(a, -int(b&63)) })
+			sp = bin64(st, sp, func(a, b uint64) uint64 { return bits.RotateLeft64(a, -int(b&63)) })
 
 		// ---- f32 arithmetic ----
 		case opF32Abs:
-			st = un32f(st, func(v float32) float32 { return float32(math.Abs(float64(v))) })
+			un32f(st, sp, func(v float32) float32 { return float32(math.Abs(float64(v))) })
 		case opF32Neg:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(uint32(st[n]) ^ 0x8000_0000)
 		case opF32Ceil:
-			st = un32f(st, func(v float32) float32 { return float32(math.Ceil(float64(v))) })
+			un32f(st, sp, func(v float32) float32 { return float32(math.Ceil(float64(v))) })
 		case opF32Floor:
-			st = un32f(st, func(v float32) float32 { return float32(math.Floor(float64(v))) })
+			un32f(st, sp, func(v float32) float32 { return float32(math.Floor(float64(v))) })
 		case opF32Trunc:
-			st = un32f(st, func(v float32) float32 { return float32(math.Trunc(float64(v))) })
+			un32f(st, sp, func(v float32) float32 { return float32(math.Trunc(float64(v))) })
 		case opF32Nearest:
-			st = un32f(st, func(v float32) float32 { return float32(math.RoundToEven(float64(v))) })
+			un32f(st, sp, func(v float32) float32 { return float32(math.RoundToEven(float64(v))) })
 		case opF32Sqrt:
-			st = un32f(st, func(v float32) float32 { return float32(math.Sqrt(float64(v))) })
+			un32f(st, sp, func(v float32) float32 { return float32(math.Sqrt(float64(v))) })
 		case opF32Add:
-			st = bin32f(st, func(a, b float32) float32 { return a + b })
+			sp = bin32f(st, sp, func(a, b float32) float32 { return a + b })
 		case opF32Sub:
-			st = bin32f(st, func(a, b float32) float32 { return a - b })
+			sp = bin32f(st, sp, func(a, b float32) float32 { return a - b })
 		case opF32Mul:
-			st = bin32f(st, func(a, b float32) float32 { return a * b })
+			sp = bin32f(st, sp, func(a, b float32) float32 { return a * b })
 		case opF32Div:
-			st = bin32f(st, func(a, b float32) float32 { return a / b })
+			sp = bin32f(st, sp, func(a, b float32) float32 { return a / b })
 		case opF32Min:
-			st = bin32f(st, func(a, b float32) float32 { return float32(math.Min(float64(a), float64(b))) })
+			sp = bin32f(st, sp, func(a, b float32) float32 { return float32(math.Min(float64(a), float64(b))) })
 		case opF32Max:
-			st = bin32f(st, func(a, b float32) float32 { return float32(math.Max(float64(a), float64(b))) })
+			sp = bin32f(st, sp, func(a, b float32) float32 { return float32(math.Max(float64(a), float64(b))) })
 		case opF32Copysign:
-			st = bin32f(st, func(a, b float32) float32 { return float32(math.Copysign(float64(a), float64(b))) })
+			sp = bin32f(st, sp, func(a, b float32) float32 { return float32(math.Copysign(float64(a), float64(b))) })
 
 		// ---- f64 arithmetic ----
 		case opF64Abs:
-			st = un64f(st, math.Abs)
+			un64f(st, sp, math.Abs)
 		case opF64Neg:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] ^= 0x8000_0000_0000_0000
 		case opF64Ceil:
-			st = un64f(st, math.Ceil)
+			un64f(st, sp, math.Ceil)
 		case opF64Floor:
-			st = un64f(st, math.Floor)
+			un64f(st, sp, math.Floor)
 		case opF64Trunc:
-			st = un64f(st, math.Trunc)
+			un64f(st, sp, math.Trunc)
 		case opF64Nearest:
-			st = un64f(st, math.RoundToEven)
+			un64f(st, sp, math.RoundToEven)
 		case opF64Sqrt:
-			st = un64f(st, math.Sqrt)
+			un64f(st, sp, math.Sqrt)
 		case opF64Add:
-			st = bin64f(st, func(a, b float64) float64 { return a + b })
+			sp = bin64f(st, sp, func(a, b float64) float64 { return a + b })
 		case opF64Sub:
-			st = bin64f(st, func(a, b float64) float64 { return a - b })
+			sp = bin64f(st, sp, func(a, b float64) float64 { return a - b })
 		case opF64Mul:
-			st = bin64f(st, func(a, b float64) float64 { return a * b })
+			sp = bin64f(st, sp, func(a, b float64) float64 { return a * b })
 		case opF64Div:
-			st = bin64f(st, func(a, b float64) float64 { return a / b })
+			sp = bin64f(st, sp, func(a, b float64) float64 { return a / b })
 		case opF64Min:
-			st = bin64f(st, math.Min)
+			sp = bin64f(st, sp, math.Min)
 		case opF64Max:
-			st = bin64f(st, math.Max)
+			sp = bin64f(st, sp, math.Max)
 		case opF64Copysign:
-			st = bin64f(st, math.Copysign)
+			sp = bin64f(st, sp, math.Copysign)
 
 		// ---- conversions ----
 		case opI32WrapI64:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(uint32(st[n]))
 		case opI32TruncF32S:
-			n := len(st) - 1
+			n := sp - 1
 			v, err := truncS32(float64(math.Float32frombits(uint32(st[n]))))
 			if err != nil {
 				return nil, err
 			}
 			st[n] = v
 		case opI32TruncF32U:
-			n := len(st) - 1
+			n := sp - 1
 			v, err := truncU32(float64(math.Float32frombits(uint32(st[n]))))
 			if err != nil {
 				return nil, err
 			}
 			st[n] = v
 		case opI32TruncF64S:
-			n := len(st) - 1
+			n := sp - 1
 			v, err := truncS32(math.Float64frombits(st[n]))
 			if err != nil {
 				return nil, err
 			}
 			st[n] = v
 		case opI32TruncF64U:
-			n := len(st) - 1
+			n := sp - 1
 			v, err := truncU32(math.Float64frombits(st[n]))
 			if err != nil {
 				return nil, err
 			}
 			st[n] = v
 		case opI64ExtendI32S:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(int64(int32(st[n])))
 		case opI64ExtendI32U:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(uint32(st[n]))
 		case opI64TruncF32S:
-			n := len(st) - 1
+			n := sp - 1
 			v, err := truncS64(float64(math.Float32frombits(uint32(st[n]))))
 			if err != nil {
 				return nil, err
 			}
 			st[n] = v
 		case opI64TruncF32U:
-			n := len(st) - 1
+			n := sp - 1
 			v, err := truncU64(float64(math.Float32frombits(uint32(st[n]))))
 			if err != nil {
 				return nil, err
 			}
 			st[n] = v
 		case opI64TruncF64S:
-			n := len(st) - 1
+			n := sp - 1
 			v, err := truncS64(math.Float64frombits(st[n]))
 			if err != nil {
 				return nil, err
 			}
 			st[n] = v
 		case opI64TruncF64U:
-			n := len(st) - 1
+			n := sp - 1
 			v, err := truncU64(math.Float64frombits(st[n]))
 			if err != nil {
 				return nil, err
 			}
 			st[n] = v
 		case opF32ConvertI32S:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(math.Float32bits(float32(int32(st[n]))))
 		case opF32ConvertI32U:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(math.Float32bits(float32(uint32(st[n]))))
 		case opF32ConvertI64S:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(math.Float32bits(float32(int64(st[n]))))
 		case opF32ConvertI64U:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(math.Float32bits(float32(st[n])))
 		case opF32DemoteF64:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(math.Float32bits(float32(math.Float64frombits(st[n]))))
 		case opF64ConvertI32S:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = math.Float64bits(float64(int32(st[n])))
 		case opF64ConvertI32U:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = math.Float64bits(float64(uint32(st[n])))
 		case opF64ConvertI64S:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = math.Float64bits(float64(int64(st[n])))
 		case opF64ConvertI64U:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = math.Float64bits(float64(st[n]))
 		case opF64PromoteF32:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = math.Float64bits(float64(math.Float32frombits(uint32(st[n]))))
 		case opI32ReinterpretF, opI64ReinterpretF, opF32ReinterpretI, opF64ReinterpretI:
 			// Bit-identical in this representation.
 
 		case opI32Extend8S:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(uint32(int32(int8(st[n]))))
 		case opI32Extend16S:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(uint32(int32(int16(st[n]))))
 		case opI64Extend8S:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(int64(int8(st[n])))
 		case opI64Extend16S:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(int64(int16(st[n])))
 		case opI64Extend32S:
-			n := len(st) - 1
+			n := sp - 1
 			st[n] = uint64(int64(int32(st[n])))
 
 		default:
 			return nil, fmt.Errorf("exec opcode 0x%02x: %w", in.op, ErrUnsupported)
 		}
 	}
-	return returnResults()
 }
 
-// branch unwinds to the label at the given relative depth. A depth that
-// reaches past the outermost explicit label targets the implicit function
-// label: the caller returns the function's results (signaled via non-nil
-// error sentinel errFunctionBranch).
-func (inst *Instance) branch(depth int, labels []execLabel, st []uint64, cf *compiledFunc) (int, []execLabel, []uint64, error) {
-	idx := len(labels) - 1 - depth
-	if idx < 0 {
-		// Branch to the function label: behave like return.
-		return 0, labels, st, errFunctionBranch
+// branch takes a resolved branch (see compileFunc): it moves the arity
+// values the label carries down onto its entry height and returns the pc
+// before the target — the dispatch loop's pc++ lands on it — and the new
+// stack height.
+func branch(st []uint64, sp int, target, arity uint64) (int, int) {
+	h, a := int(uint32(target)), int(arity)
+	if sp != h+a {
+		copy(st[h:h+a], st[sp-a:sp])
 	}
-	l := labels[idx]
-	// Carry the label's arity values, discard everything above its entry
-	// height.
-	copy(st[l.stackH:], st[len(st)-l.arity:])
-	st = st[:l.stackH+l.arity]
-	labels = labels[:idx]
-	// contPC is the instruction index to execute next; the main loop will
-	// pc++ after this, so step back by one.
-	return l.contPC - 1, labels, st, nil
+	return int(target>>32) - 1, h + a
 }
 
-var errFunctionBranch = fmt.Errorf("wasm: branch to function label")
+// brIf finishes a fused compare-and-br_if whose operands are popped: taken,
+// it branches; not taken, it skips the dead br_if slot.
+func brIf(cond bool, st []uint64, sp, pc int, in *instr) (int, int) {
+	if cond {
+		return branch(st, sp, in.imm0, in.imm1)
+	}
+	return pc + 1, sp
+}
 
-func (inst *Instance) doCall(fi uint32, st []uint64, depth int) ([]uint64, error) {
+// doCall calls function fi with the top of the caller's stack st[:sp] as
+// its arguments and pushes its results, returning the new height.
+func (inst *Instance) doCall(fi uint32, st []uint64, sp, depth int) (int, error) {
 	f := &inst.funcs[fi]
-	nArgs := len(f.typ.Params)
-	if len(st) < nArgs {
-		return nil, TrapStackUnderflow
-	}
 	// The callee's arguments are the top of this frame's stack, in place:
 	// invoke copies them into the callee frame (or a host scratch) before
 	// anything can overwrite them.
-	args := st[len(st)-nArgs:]
-	st = st[:len(st)-nArgs]
-	results, err := inst.invoke(fi, args, depth+1)
+	sp -= len(f.typ.Params)
+	results, err := inst.invoke(fi, st[sp:sp+len(f.typ.Params)], depth+1)
 	if err != nil {
-		return nil, fmt.Errorf("call %s: %w", f.name, err)
+		return 0, fmt.Errorf("call %s: %w", f.name, err)
 	}
-	return append(st, results...), nil
+	if len(results) != len(f.typ.Results) {
+		return 0, fmt.Errorf("call %s: %d results, want %d: %w", f.name, len(results), len(f.typ.Results), ErrImportType)
+	}
+	return sp + copy(st[sp:], results), nil
 }
 
 func b2u(b bool) uint64 {
@@ -815,64 +813,52 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-func bin32(st []uint64, f func(a, b uint32) uint32) []uint64 {
-	n := len(st) - 1
-	st[n-1] = uint64(f(uint32(st[n-1]), uint32(st[n])))
-	return st[:n]
+func bin32(st []uint64, sp int, f func(a, b uint32) uint32) int {
+	st[sp-2] = uint64(f(uint32(st[sp-2]), uint32(st[sp-1])))
+	return sp - 1
 }
 
-func bin64(st []uint64, f func(a, b uint64) uint64) []uint64 {
-	n := len(st) - 1
-	st[n-1] = f(st[n-1], st[n])
-	return st[:n]
+func bin64(st []uint64, sp int, f func(a, b uint64) uint64) int {
+	st[sp-2] = f(st[sp-2], st[sp-1])
+	return sp - 1
 }
 
-func cmp32(st []uint64, f func(a, b uint32) bool) []uint64 {
-	n := len(st) - 1
-	st[n-1] = b2u(f(uint32(st[n-1]), uint32(st[n])))
-	return st[:n]
+func cmp32(st []uint64, sp int, f func(a, b uint32) bool) int {
+	st[sp-2] = b2u(f(uint32(st[sp-2]), uint32(st[sp-1])))
+	return sp - 1
 }
 
-func cmp64(st []uint64, f func(a, b uint64) bool) []uint64 {
-	n := len(st) - 1
-	st[n-1] = b2u(f(st[n-1], st[n]))
-	return st[:n]
+func cmp64(st []uint64, sp int, f func(a, b uint64) bool) int {
+	st[sp-2] = b2u(f(st[sp-2], st[sp-1]))
+	return sp - 1
 }
 
-func cmpF32(st []uint64, f func(a, b float32) bool) []uint64 {
-	n := len(st) - 1
-	st[n-1] = b2u(f(math.Float32frombits(uint32(st[n-1])), math.Float32frombits(uint32(st[n]))))
-	return st[:n]
+func cmpF32(st []uint64, sp int, f func(a, b float32) bool) int {
+	st[sp-2] = b2u(f(math.Float32frombits(uint32(st[sp-2])), math.Float32frombits(uint32(st[sp-1]))))
+	return sp - 1
 }
 
-func cmpF64(st []uint64, f func(a, b float64) bool) []uint64 {
-	n := len(st) - 1
-	st[n-1] = b2u(f(math.Float64frombits(st[n-1]), math.Float64frombits(st[n])))
-	return st[:n]
+func cmpF64(st []uint64, sp int, f func(a, b float64) bool) int {
+	st[sp-2] = b2u(f(math.Float64frombits(st[sp-2]), math.Float64frombits(st[sp-1])))
+	return sp - 1
 }
 
-func bin32f(st []uint64, f func(a, b float32) float32) []uint64 {
-	n := len(st) - 1
-	st[n-1] = uint64(math.Float32bits(f(math.Float32frombits(uint32(st[n-1])), math.Float32frombits(uint32(st[n])))))
-	return st[:n]
+func bin32f(st []uint64, sp int, f func(a, b float32) float32) int {
+	st[sp-2] = uint64(math.Float32bits(f(math.Float32frombits(uint32(st[sp-2])), math.Float32frombits(uint32(st[sp-1])))))
+	return sp - 1
 }
 
-func bin64f(st []uint64, f func(a, b float64) float64) []uint64 {
-	n := len(st) - 1
-	st[n-1] = math.Float64bits(f(math.Float64frombits(st[n-1]), math.Float64frombits(st[n])))
-	return st[:n]
+func bin64f(st []uint64, sp int, f func(a, b float64) float64) int {
+	st[sp-2] = math.Float64bits(f(math.Float64frombits(st[sp-2]), math.Float64frombits(st[sp-1])))
+	return sp - 1
 }
 
-func un32f(st []uint64, f func(v float32) float32) []uint64 {
-	n := len(st) - 1
-	st[n] = uint64(math.Float32bits(f(math.Float32frombits(uint32(st[n])))))
-	return st
+func un32f(st []uint64, sp int, f func(v float32) float32) {
+	st[sp-1] = uint64(math.Float32bits(f(math.Float32frombits(uint32(st[sp-1])))))
 }
 
-func un64f(st []uint64, f func(v float64) float64) []uint64 {
-	n := len(st) - 1
-	st[n] = math.Float64bits(f(math.Float64frombits(st[n])))
-	return st
+func un64f(st []uint64, sp int, f func(v float64) float64) {
+	st[sp-1] = math.Float64bits(f(math.Float64frombits(st[sp-1])))
 }
 
 func truncS32(v float64) (uint64, error) {

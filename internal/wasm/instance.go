@@ -87,7 +87,8 @@ type Instance struct {
 
 // Instantiate links a decoded module against host imports, compiles every
 // function body, initializes globals, table and data segments, and runs the
-// start function.
+// start function. Compilation relies on Decode's validation of every body
+// (DESIGN.md §13), so m must come from Decode.
 func Instantiate(m *Module, imports Imports, cfg *Config) (*Instance, error) {
 	if cfg == nil {
 		cfg = &Config{}
@@ -125,6 +126,7 @@ func Instantiate(m *Module, imports Imports, cfg *Config) (*Instance, error) {
 		if err != nil {
 			return nil, fmt.Errorf("compile func %d: %w", i, err)
 		}
+		fuse(cf.code)
 		inst.funcs = append(inst.funcs, function{typ: m.Types[cf.typeIdx], cf: cf, name: fmt.Sprintf("func[%d]", m.NumImportedFuncs+i)})
 	}
 

@@ -204,3 +204,41 @@ const (
 	opMemoryCopySyn = 0xE0 // 0xFC 10
 	opMemoryFillSyn = 0xE1 // 0xFC 11
 )
+
+// Superinstructions written by fuse (compile.go). Each replaces the first
+// slot of a fixed-length run; the run's other slots stay in place, dead.
+const (
+	opLocalGet2       = 0xE2 // local.get a; local.get b
+	opLocalGetI32AddC = 0xE3 // local.get a; i32.const c; i32.add
+	opLocalI32AddCSet = 0xE4 // local.get a; i32.const c; i32.add; local.set a
+	opI32AddC         = 0xE5 // i32.const c; i32.add
+	opI32MulC         = 0xE6 // i32.const c; i32.mul
+	opI64AddC         = 0xE7 // i64.const c; i64.add
+	opI64MulC         = 0xE8 // i64.const c; i64.mul
+
+	// opBrIfI32Eqz..opBrIfI64GeU fuse an i32/i64 test or comparison
+	// (i32.eqz..i64.ge_u) with the br_if that follows it: opBrIfI32Eqz +
+	// (cmp - opI32Eqz).
+	opBrIfI32Eqz = 0xC5
+	opBrIfI32Eq  = 0xC6
+	opBrIfI32Ne  = 0xC7
+	opBrIfI32LtS = 0xC8
+	opBrIfI32LtU = 0xC9
+	opBrIfI32GtS = 0xCA
+	opBrIfI32GtU = 0xCB
+	opBrIfI32LeS = 0xCC
+	opBrIfI32LeU = 0xCD
+	opBrIfI32GeS = 0xCE
+	opBrIfI32GeU = 0xCF
+	opBrIfI64Eqz = 0xD0
+	opBrIfI64Eq  = 0xD1
+	opBrIfI64Ne  = 0xD2
+	opBrIfI64LtS = 0xD3
+	opBrIfI64LtU = 0xD4
+	opBrIfI64GtS = 0xD5
+	opBrIfI64GtU = 0xD6
+	opBrIfI64LeS = 0xD7
+	opBrIfI64LeU = 0xD8
+	opBrIfI64GeS = 0xD9
+	opBrIfI64GeU = 0xDA
+)

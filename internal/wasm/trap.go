@@ -22,7 +22,6 @@ var (
 	TrapIntegerOverflow  = &Trap{msg: "integer overflow"}
 	TrapInvalidConv      = &Trap{msg: "invalid conversion to integer"}
 	TrapCallDepth        = &Trap{msg: "call stack exhausted"}
-	TrapStackUnderflow   = &Trap{msg: "operand stack underflow"}
 	TrapUndefinedElement = &Trap{msg: "undefined table element"}
 	TrapIndirectType     = &Trap{msg: "indirect call type mismatch"}
 )
