@@ -35,7 +35,7 @@ bench:
 	$(GO) test -run 'XXX' -bench . -benchtime 1x ./...
 	$(GO) run ./cmd/roadrunner-load -workflows 4 -requests 8 -compact
 	$(GO) run ./cmd/roadrunner-load -workflows 4 -requests 8 -cold-channels -compact
-	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 4 -mode chain -phase-locked -compact
+	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 4 -mode chain -compact
 	@mkdir -p artifacts
 	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 8 -mode plan -compact | tee artifacts/load-plan.json
 	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 4 -mode plan -deadline 40us -payload 1048576 -compact \
@@ -50,14 +50,13 @@ bench:
 	@mkdir -p artifacts
 	$(GO) run ./cmd/roadrunner-bench -exp chancache -sizes 1,4 -json > artifacts/bench-chancache.json
 	@cat artifacts/bench-chancache.json
-	$(GO) run ./cmd/roadrunner-bench -exp pipeline -json > BENCH_3.json
-	@cat BENCH_3.json
 	$(GO) run ./cmd/roadrunner-bench -exp placement -json > BENCH_4.json
 	@cat BENCH_4.json
 	$(GO) run ./cmd/roadrunner-bench -exp failure -json > BENCH_6.json
 	@cat BENCH_6.json
 	$(GO) run ./cmd/roadrunner-bench -exp hotpath -json > BENCH_8.json
 	@cat BENCH_8.json
+	$(GO) run ./cmd/roadrunner-bench -exp fanoutpar
 
 ## perfgate: regenerate the hot-path trajectory and gate it against the
 ## committed BENCH_8.json (CI's perf-gate job); also re-pins the allocation
@@ -69,8 +68,8 @@ perfgate:
 	$(GO) test -run TestAllocCeilings -v .
 
 ## lint: go vet plus the roadvet suite (regionrelease, poolreturn,
-## gaugebalance, lockorder, ctxpoll, errclass, ctxcheck, doccheck and the
-## gofmt gate)
+## refbalance, gaugebalance, lockorder, lockguard, ctxpoll, errclass,
+## ctxcheck, doccheck and the gofmt gate)
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/roadvet -budget ROADVET_BASELINE.json ./...

@@ -8,7 +8,6 @@
 //	roadrunner-load -workflows 16 -requests 256
 //	roadrunner-load -mode network -payload 1048576
 //	roadrunner-load -mode chain -hops 6      # chain-depth scaling scenario
-//	roadrunner-load -mode chain -phase-locked # pre-pipeline ablation regime
 //	roadrunner-load -replicas 4              # 4-instance pools per function, locality-routed
 //	roadrunner-load -replicas 4 -placement round-robin # placement-oblivious ablation
 //	roadrunner-load -mode plan               # a Plan/Submit DAG per iteration
@@ -50,7 +49,6 @@ func run(args []string) error {
 		targets   = fs.Int("targets", 0, "fanout-mode deliveries per execution (default 4; requires -mode fanout)")
 		verify    = fs.Bool("verify", true, "checksum every final delivery")
 		cold      = fs.Bool("cold-channels", false, "disable the channel cache: per-call hose setup/teardown (cold regime)")
-		locked    = fs.Bool("phase-locked", false, "run transfers in the phase-locked (pre-pipeline) regime: both VM locks per hop, no stage overlap")
 		replicas  = fs.Int("replicas", 1, "warm instance-pool size per function, spread across both nodes")
 		placement = fs.String("placement", "locality", "invoker-plane placement policy: locality, least-loaded or round-robin")
 		deadline  = fs.Duration("deadline", 0, "per-operation context timeout (0 = none); tripped executions count as cancelled")
@@ -74,7 +72,6 @@ func run(args []string) error {
 		Targets:      *targets,
 		Verify:       *verify,
 		ColdChannels: *cold,
-		PhaseLocked:  *locked,
 		Replicas:     *replicas,
 		Placement:    *placement,
 		Deadline:     *deadline,

@@ -14,8 +14,9 @@
 //   - gaugebalance: every invoker-plane State.Enter has a State.Exit on
 //     all paths of its function — the phantom in-flight load bug.
 //     Enter/Exit pairs transfer through unexported helpers.
-//   - lockorder: nested Shim.mu acquisitions must go through the ordered
-//     lockShims helper — the AB/BA transfer deadlock.
+//   - lockorder: VM locks never nest — no Shim.mu is taken while any
+//     Shim.mu is held, including on a loop back-edge — the AB/BA transfer
+//     deadlock.
 //   - lockguard: every access to a field declared `//roadvet:guards mu`
 //     happens with mu provably held — including lock-in-caller,
 //     access-in-callee splits, whose entry lock sets are inferred from

@@ -221,10 +221,10 @@ func (p *Platform) ChainWithCtx(ctx context.Context, n int, opts []TransferOptio
 	return nr.Ref(), nr.Report(), nr.Err
 }
 
-// ChainWith is Chain with per-hop transfer options (e.g. WithPhaseLocked
-// for the phase-locked ablation regime). Instance pins in opts are ignored:
-// a chain's source instance is always the previous hop's delivery, and each
-// hop's target is routed by the placement policy.
+// ChainWith is Chain with per-hop transfer options (e.g. WithMode, or
+// WithChannelCache(false) for the cold-channel ablation). Instance pins in
+// opts are ignored: a chain's source instance is always the previous hop's
+// delivery, and each hop's target is routed by the placement policy.
 //
 // Chains stream: every hop pins its input region explicitly (WithSourceRef),
 // so the set_output + locate step runs atomically inside the hop's source
@@ -232,7 +232,7 @@ func (p *Platform) ChainWithCtx(ctx context.Context, n int, opts []TransferOptio
 // any moment a hop holds only the VM lock of the side actually touching
 // bytes. Interior VMs are therefore free between their stages — free to
 // serve other chains or unrelated transfers — instead of sitting
-// locked-idle for whole hops as in the phase-locked regime.
+// locked-idle for whole hops.
 //
 // A failing hop is named in the error: "hop i/h (src->dst)" with the hop's
 // 1-based index, total hop count and concrete instance names. ChainWith
@@ -337,7 +337,7 @@ func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOptio
 // instance's node, shared by the number of multicast targets using the same
 // link (override the sharing degree with WithFlows); same-node legs charge
 // no wire time. Supported options are WithFlows, WithChannelCache,
-// WithPhaseLocked, WithSourceRef, WithSourceInstance and WithMode
+// WithSourceRef, WithSourceInstance and WithMode
 // (ModeKernelSpace restricts routing to co-located instances, ModeNetwork
 // to cross-node ones); ModeUserSpace — like pinning a single target
 // instance — is rejected with ErrModeUnavailable, since multicast shares
@@ -448,7 +448,6 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 		Links:          links,
 		Flows:          flows,
 		NoChannelCache: cfg.coldChannel,
-		PhaseLocked:    cfg.phaseLocked,
 		SourceRef:      coreSourceRef(cfg.sourceRef),
 		Gates:          cfg.gates,
 	})
@@ -662,7 +661,6 @@ func (p *Platform) fanoutGroup(ctx context.Context, si *Instance, group []int, c
 	coreRefs, reps, err := core.MulticastTransfer(si.inner, inner, core.MulticastOptions{
 		Ctx:            ctx,
 		NoChannelCache: base.coldChannel,
-		PhaseLocked:    base.phaseLocked,
 		SourceRef:      coreSourceRef(&srcRef),
 		Gates:          base.gates,
 	})

@@ -1,10 +1,10 @@
-// Package lockorder enforces the data-plane's VM-lock ordering protocol:
-// a goroutine holding one Shim's mu must not take another Shim's mu
-// directly. Multi-shim sections must go through the ordered helpers
-// (lockShims/unlockShims and the pairLock/pairUnlock wrappers), which
-// sort the shims by identity before acquiring. Nested direct takes are
-// the classic AB/BA deadlock: transfer A→B locking (A, B) racing
-// transfer B→A locking (B, A).
+// Package lockorder enforces the data plane's VM-lock protocol: VM locks
+// never nest. A goroutine holding any Shim's mu must not take a Shim's mu
+// again — another shim's (the classic AB/BA deadlock: transfer A→B
+// locking (A, B) racing transfer B→A locking (B, A)) or the same owner
+// expression's, which on a loop back-edge is the next iteration's shim.
+// Every pipeline stage holds exactly one VM lock, so the rule has no
+// exemptions.
 package lockorder
 
 import (
@@ -23,18 +23,10 @@ const (
 	fieldName = "mu"
 )
 
-// orderedHelpers are the functions allowed to take several VM locks;
-// they own the ordering discipline, so lock events inside them are
-// exempt.
-var orderedHelpers = map[string]bool{
-	"lockShims":   true,
-	"unlockShims": true,
-}
-
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "lockorder",
-	Doc:      "check that nested VM-lock (Shim.mu) acquisitions go through the ordered lockShims helper",
+	Doc:      "check that VM locks (Shim.mu) never nest",
 	Requires: []*analysis.Analyzer{ctrlflow.Analyzer},
 	Run:      run,
 }
@@ -45,7 +37,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				if fn.Body == nil || orderedHelpers[fn.Name.Name] {
+				if fn.Body == nil {
 					return true
 				}
 				checkFunc(pass, cfgs.FuncDecl(fn))
@@ -67,14 +59,14 @@ type lockEvent struct {
 }
 
 // checkFunc walks the function's CFG tracking the set of held VM locks
-// per path and reports any second direct acquisition while one is held.
+// per path and reports any acquisition while one is already held.
 func checkFunc(pass *analysis.Pass, g *cfg.CFG) {
 	if g == nil || len(g.Blocks) == 0 {
 		return
 	}
 
-	// held sets are small (the protocol allows at most one direct
-	// holding); represent them as sorted-joined strings for memoization.
+	// held sets are small (the protocol allows at most one holding);
+	// represent them as sorted-joined strings for memoization.
 	type state struct {
 		block int32
 		held  string
@@ -94,10 +86,10 @@ func checkFunc(pass *analysis.Pass, g *cfg.CFG) {
 			for _, ev := range lockEventsIn(pass, n) {
 				switch ev.op {
 				case "Lock":
-					if len(cur) > 0 && !cur[ev.owner] && !reported[ev.call] {
+					if len(cur) > 0 && !reported[ev.call] {
 						reported[ev.call] = true
 						pass.Reportf(ev.call.Pos(),
-							"nested VM-lock acquisition: %s.mu taken while another Shim.mu is held; order multi-shim sections through lockShims to avoid AB/BA deadlock",
+							"nested VM-lock acquisition: %s.mu taken while a Shim.mu is held; VM locks never nest",
 							ev.owner)
 					}
 					if !ev.deferred {

@@ -1,5 +1,5 @@
 // Package a exercises the lockorder analyzer: a mimic of the VM-lock
-// protocol around Shim.mu and the ordered lockShims helper.
+// protocol around Shim.mu, under which VM locks never nest.
 package a
 
 import "sync"
@@ -8,21 +8,6 @@ import "sync"
 type Shim struct {
 	mu sync.Mutex
 	id int
-}
-
-// lockShims is the ordered multi-shim helper; it owns the ordering
-// discipline, so its nested acquisitions are exempt.
-func lockShims(shims ...*Shim) {
-	for _, s := range shims {
-		s.mu.Lock()
-	}
-}
-
-// unlockShims releases in reverse; exempt like lockShims.
-func unlockShims(shims ...*Shim) {
-	for i := len(shims) - 1; i >= 0; i-- {
-		shims[i].mu.Unlock()
-	}
 }
 
 // transferDeadlock reproduces the AB/BA hazard: transfer A→B locking
@@ -34,10 +19,28 @@ func transferDeadlock(src, dst *Shim) {
 	src.mu.Unlock()
 }
 
-// transferOrdered is the fix: the ordered helper takes both locks.
-func transferOrdered(src, dst *Shim) {
-	lockShims(src, dst)
-	defer unlockShims(src, dst)
+// lockAll takes every shim's lock in a loop: the back-edge re-takes the
+// same owner expression while the previous iteration's lock is held.
+func lockAll(shims []*Shim) {
+	for _, s := range shims {
+		s.mu.Lock() // want "nested VM-lock"
+	}
+}
+
+// lockAllIndexed is lockAll over an index expression.
+func lockAllIndexed(shims []*Shim) {
+	for i := range shims {
+		shims[i].mu.Lock() // want "nested VM-lock"
+	}
+}
+
+// lockEachInTurn releases before the back-edge; never nested, no
+// diagnostic.
+func lockEachInTurn(shims []*Shim) {
+	for _, s := range shims {
+		s.mu.Lock()
+		s.mu.Unlock()
+	}
 }
 
 // sequential takes the locks one at a time; never nested, no diagnostic.

@@ -199,11 +199,10 @@ func TestMulticastMixedSetSplits(t *testing.T) {
 	}
 }
 
-// TestMulticastSameNodePhaseLocked exercises the all-local fan-out in the
-// pre-pipeline regime, which drains targets strictly after the source pass —
-// the per-call hose pipe must absorb the whole payload and still tear down
-// clean.
-func TestMulticastSameNodePhaseLocked(t *testing.T) {
+// TestMulticastSameNodeAllLocal exercises an all-local fan-out of a
+// multi-chunk payload: the per-call hose pipe carries the whole tee pass
+// and still tears down clean, leaving no page resident.
+func TestMulticastSameNodeAllLocal(t *testing.T) {
 	k := kernel.New("edge")
 	sSrc := newShim(t, "src", k)
 	src := addFn(t, sSrc, "src")
@@ -215,7 +214,7 @@ func TestMulticastSameNodePhaseLocked(t *testing.T) {
 	if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
 		t.Fatal(err)
 	}
-	refs, _, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{PhaseLocked: true})
+	refs, _, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

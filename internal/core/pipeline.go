@@ -28,9 +28,7 @@
 // pair share one cached channel and therefore execute one at a time.
 // Transfers of different pairs — including pairs that share a VM —
 // interleave stage by stage, which is what frees a chain's interior VMs
-// between their stages. lockShims (ordered whole-transfer locking) remains
-// the discipline wherever two VM locks must still nest: the phase-locked
-// ablation regime below.
+// between their stages. No code path holds two VM locks at once.
 //
 // Memory model (DESIGN.md §10): the steady-state transfer path allocates
 // nothing. Per-transfer state — the announce/result channels, both stages'
@@ -145,15 +143,14 @@ type stageOps interface {
 // union of the modes' knobs (a plain value struct keeps the spec free of
 // per-call closures).
 type pipelineSpec struct {
-	mode        string // report mode tag
-	kind        chanKind
-	perCall     bool            // NoChannelCache: ephemeral channel, per-call teardown
-	phaseLocked bool            // ablation: both VM locks for the whole transfer
-	ctx         context.Context // cancellation; nil means never cancelled
-	gates       *PipelineGates
-	src, dst    *Function
-	link        *netsim.Link // modeled wire; nil = no network time
-	flows       int
+	mode     string // report mode tag
+	kind     chanKind
+	perCall  bool            // NoChannelCache: ephemeral channel, per-call teardown
+	ctx      context.Context // cancellation; nil means never cancelled
+	gates    *PipelineGates
+	src, dst *Function
+	link     *netsim.Link // modeled wire; nil = no network time
+	flows    int
 	// chunkBytes is the channel chunk size the payload crosses in — the
 	// pipeline depth for overlap attribution is ceil(len/chunkBytes).
 	// Zero means 1 chunk (no pipelining within the transfer, e.g. the
@@ -226,15 +223,13 @@ func putPipelineState(st *pipelineState) {
 	statePool.Put(st)
 }
 
-// announce records the source's output region and, in the pipelined regime,
-// unblocks the ingress stage. Stage bodies call it exactly once, before the
-// first payload byte moves.
+// announce records the source's output region and unblocks the ingress
+// stage. Stage bodies call it exactly once, before the first payload byte
+// moves.
 func (st *pipelineState) announce(o OutputRef) {
 	st.out = o
 	st.announced = true
-	if !st.spec.phaseLocked {
-		st.announceCh <- announceMsg{out: o}
-	}
+	st.announceCh <- announceMsg{out: o}
 }
 
 // ingressQ hands states to parked stage workers. It is unbuffered on
@@ -318,9 +313,6 @@ func (f *Function) sourceOutput(pinned *OutputRef) (OutputRef, error) {
 //
 // The pair lock is the only lock held across stages; VM locks never nest.
 func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error) {
-	if spec.phaseLocked {
-		return runPhaseLocked(spec)
-	}
 	srcShim, dstShim := spec.src.shim, spec.dst.shim
 	pl := srcShim.pairLock(dstShim, spec.kind)
 	pl.Lock()
@@ -383,68 +375,9 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 	return ires.ref, report, nil
 }
 
-// runPhaseLocked is the pre-pipeline regime, kept as the ablation baseline:
-// both VM locks held for the whole transfer (ordered by lockShims), stages
-// strictly sequential, zero overlap. It issues the identical syscall and
-// copy sequence — pipelining moves when work happens, never how much.
-func runPhaseLocked(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error) {
-	srcShim, dstShim := spec.src.shim, spec.dst.shim
-	// The pair lock still serializes against pipelined transfers of the
-	// same pair, which share the cached channel.
-	pl := srcShim.pairLock(dstShim, spec.kind)
-	pl.Lock()
-	defer pl.Unlock()
-	if err := CtxErr(spec.ctx); err != nil {
-		return InboundRef{}, metrics.TransferReport{}, err
-	}
-	locked := lockShims(srcShim, dstShim)
-	defer unlockShims(locked)
-	beforeSrc := srcShim.acct.Snapshot()
-	beforeDst := dstShim.acct.Snapshot()
-
-	ch, setup, err := acquireTransferChannel(srcShim, dstShim, spec.kind, spec.perCall)
-	if err != nil {
-		return InboundRef{}, metrics.TransferReport{}, err
-	}
-
-	// The state carries the spec and channel to the stage bodies exactly
-	// as in the pipelined regime; phaseLocked makes announce record-only,
-	// and both stages run inline on this goroutine.
-	st := statePool.Get().(*pipelineState)
-	st.spec = *spec
-	st.ch = ch
-
-	out, err := spec.ops.egress(st)
-	if err == nil {
-		// Stage boundary: the phases run strictly sequentially here, so
-		// this is the one cancellation point between send-all and
-		// receive-all.
-		err = CtxErr(spec.ctx)
-	}
-	if err != nil {
-		putPipelineState(st)
-		releaseTransferChannel(ch, spec.perCall, false)
-		return InboundRef{}, metrics.TransferReport{}, err
-	}
-	ref, err := spec.ops.ingress(st, out)
-	em, im := st.em, st.im
-	putPipelineState(st)
-	if err != nil {
-		releaseTransferChannel(ch, spec.perCall, false)
-		return InboundRef{}, metrics.TransferReport{}, err
-	}
-	releaseTransferChannel(ch, spec.perCall, true)
-
-	usage := srcShim.acct.Snapshot().Sub(beforeSrc).Add(dstShim.acct.Snapshot().Sub(beforeDst))
-	report := assembleReport(spec, out, setup, em, im, usage)
-	return ref, report, nil
-}
-
 // assembleReport folds both stages' measurements into the transfer report.
 // Modeled syscall mode-switch time joins the Transfer component as before;
-// Overlap is the modeled critical-path credit of the chunk pipeline (zero
-// in the phase-locked regime, whose phases are strictly sequential by
-// definition).
+// Overlap is the modeled critical-path credit of the chunk pipeline.
 func assembleReport(spec *pipelineSpec, out OutputRef, setup time.Duration, em, im stageMetrics, usage metrics.Usage) metrics.TransferReport {
 	srcShim := spec.src.shim
 	bd := metrics.Breakdown{
@@ -456,9 +389,7 @@ func assembleReport(spec *pipelineSpec, out OutputRef, setup time.Duration, em, 
 	if spec.link != nil {
 		bd.Network = spec.link.TransferTime(int64(out.Len), spec.flows)
 	}
-	if !spec.phaseLocked {
-		bd.Overlap = modeledOverlap(spec.chunks(out), em.activity(), bd.Network, im.activity())
-	}
+	bd.Overlap = modeledOverlap(spec.chunks(out), em.activity(), bd.Network, im.activity())
 	return metrics.TransferReport{
 		Bytes:     int64(out.Len),
 		Breakdown: bd,

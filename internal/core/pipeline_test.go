@@ -1,6 +1,6 @@
 // Tests for the staged data-plane pipeline: stage-scoped VM locking,
 // overlapped source/target stages, streaming chains over shared interior
-// functions, and the phase-locked ablation's trace equivalence.
+// functions, and overlap attribution.
 package core_test
 
 import (
@@ -12,15 +12,12 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 )
 
 // TestInteriorVMFreeDuringWireStage pins the pipeline's headline property:
 // while a transfer's payload is in flight on the wire — egress done or
 // draining, ingress gated — NEITHER endpoint VM lock is held, so the target
-// VM accepts an unrelated transfer mid-flight. Under the phase-locked
-// regime the same interleaving would deadlock the unrelated transfer until
-// the first one finished.
+// VM accepts an unrelated transfer mid-flight.
 func TestInteriorVMFreeDuringWireStage(t *testing.T) {
 	kEdge, kCloud := kernel.New("edge"), kernel.New("cloud")
 	sA := newShim(t, "sA", kEdge)
@@ -211,159 +208,39 @@ func releaseRound(t *testing.T, regions map[*core.Function]core.InboundRef, head
 	}
 }
 
-// TestPhaseLockedMatchesPipelinedTrace pins the ablation contract: the
-// pipelined and phase-locked regimes issue the identical syscall sequence
-// and copy volume on every cross-sandbox mode, cold and warm — pipelining
-// moves when work happens, never how much.
-func TestPhaseLockedMatchesPipelinedTrace(t *testing.T) {
-	const n = 3 << 20
-	type trace struct {
-		srcSys, dstSys   int64
-		srcCopy, dstCopy int64
-	}
-	measure := func(t *testing.T, network, phaseLocked bool) []trace {
-		mkKernel := kernel.New("edge")
-		dstKernel := mkKernel
-		if network {
-			dstKernel = kernel.New("cloud")
-		}
-		s1, err := core.NewShim(core.ShimConfig{
-			Name: "s1", Workflow: wf, Kernel: mkKernel, Module: guest.Module(), DataHoseBytes: 1 << 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s1.Close)
-		s2, err := core.NewShim(core.ShimConfig{
-			Name: "s2", Workflow: wf, Kernel: dstKernel, Module: guest.Module(), DataHoseBytes: 1 << 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s2.Close)
-		fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
-		if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
-			t.Fatal(err)
-		}
-		var traces []trace
-		for round := 0; round < 2; round++ { // cold then warm
-			sb, db := s1.Account().Snapshot(), s2.Account().Snapshot()
-			var ref core.InboundRef
-			if network {
-				ref, _, err = core.NetworkTransfer(fa, fb, core.NetworkOptions{PhaseLocked: phaseLocked})
-			} else {
-				ref, _, err = core.KernelSpaceTransfer(fa, fb, core.KernelOptions{PhaseLocked: phaseLocked})
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			verifyDelivery(t, fb, ref, n)
-			sd := s1.Account().Snapshot().Sub(sb)
-			dd := s2.Account().Snapshot().Sub(db)
-			traces = append(traces, trace{
-				srcSys: sd.Syscalls, dstSys: dd.Syscalls,
-				srcCopy: sd.TotalCopyBytes(), dstCopy: dd.TotalCopyBytes(),
-			})
-		}
-		return traces
-	}
-	for _, mode := range []string{"kernel", "network"} {
-		t.Run(mode, func(t *testing.T) {
-			pipelined := measure(t, mode == "network", false)
-			locked := measure(t, mode == "network", true)
-			for i := range pipelined {
-				if pipelined[i] != locked[i] {
-					t.Fatalf("round %d: pipelined trace %+v != phase-locked trace %+v", i, pipelined[i], locked[i])
-				}
-			}
-		})
-	}
-}
-
-// TestPhaseLockedMulticastDelivers is the regression test for the
-// phase-locked multicast self-deadlock: lockShims already holds the source
-// VM lock, so the source stage must not re-acquire it. The call has to
-// complete (not hang) and deliver checksum-clean payloads with zero
-// overlap reported.
-func TestPhaseLockedMulticastDelivers(t *testing.T) {
-	kSrc := kernel.New("edge")
-	sSrc := newShim(t, "src", kSrc)
-	src := addFn(t, sSrc, "src")
-	const degree, n = 3, 300_000
-	dsts := make([]*core.Function, degree)
-	for i := range dsts {
-		sd := newShim(t, fmt.Sprintf("t%d", i), kernel.New(fmt.Sprintf("cloud-%d", i)))
-		dsts[i] = addFn(t, sd, fmt.Sprintf("f%d", i))
-	}
-	if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+// TestPipelineOverlapAttribution: a multi-chunk network transfer reports a
+// positive Overlap component (the stages genuinely ran concurrently) and a
+// critical-path latency below the summed component laps.
+func TestPipelineOverlapAttribution(t *testing.T) {
+	k1, k2 := kernel.New("edge"), kernel.New("cloud")
+	s1, err := core.NewShim(core.ShimConfig{
+		Name: "s1", Workflow: wf, Kernel: k1, Module: guest.Module(), DataHoseBytes: 256 << 10,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	type result struct {
-		refs    []core.InboundRef
-		reports []metrics.TransferReport
-		err     error
+	t.Cleanup(s1.Close)
+	s2, err := core.NewShim(core.ShimConfig{
+		Name: "s2", Workflow: wf, Kernel: k2, Module: guest.Module(), DataHoseBytes: 256 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	done := make(chan result, 1)
-	go func() {
-		refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{PhaseLocked: true})
-		done <- result{refs, reports, err}
-	}()
-	select {
-	case r := <-done:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		for i, dst := range dsts {
-			verifyDelivery(t, dst, r.refs[i], n)
-			if r.reports[i].Breakdown.Overlap != 0 {
-				t.Fatalf("target %d: phase-locked overlap = %v", i, r.reports[i].Breakdown.Overlap)
-			}
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("phase-locked multicast deadlocked")
+	t.Cleanup(s2.Close)
+	fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
+	const n = 4 << 20 // 16 hose chunks
+	if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestPipelineOverlapAttribution: a multi-chunk pipelined network transfer
-// reports a positive Overlap component (the stages genuinely ran
-// concurrently) and a critical-path latency below the summed component
-// laps; the phase-locked regime reports exactly zero overlap.
-func TestPipelineOverlapAttribution(t *testing.T) {
-	run := func(phaseLocked bool) time.Duration {
-		k1, k2 := kernel.New("edge"), kernel.New("cloud")
-		s1, err := core.NewShim(core.ShimConfig{
-			Name: "s1", Workflow: wf, Kernel: k1, Module: guest.Module(), DataHoseBytes: 256 << 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s1.Close)
-		s2, err := core.NewShim(core.ShimConfig{
-			Name: "s2", Workflow: wf, Kernel: k2, Module: guest.Module(), DataHoseBytes: 256 << 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s2.Close)
-		fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
-		const n = 4 << 20 // 16 hose chunks
-		if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
-			t.Fatal(err)
-		}
-		ref, rep, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{PhaseLocked: phaseLocked})
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifyDelivery(t, fb, ref, n)
-		if got := rep.Breakdown.Total(); got > rep.Breakdown.Setup+rep.Breakdown.Transfer+rep.Breakdown.WasmIO {
-			t.Fatalf("critical path %v exceeds summed laps", got)
-		}
-		return rep.Breakdown.Overlap
+	ref, rep, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if overlap := run(true); overlap != 0 {
-		t.Fatalf("phase-locked transfer reported overlap %v", overlap)
+	verifyDelivery(t, fb, ref, n)
+	if got := rep.Breakdown.Total(); got > rep.Breakdown.Setup+rep.Breakdown.Transfer+rep.Breakdown.WasmIO {
+		t.Fatalf("critical path %v exceeds summed laps", got)
 	}
-	if overlap := run(false); overlap <= 0 {
-		t.Fatalf("pipelined multi-chunk transfer reported no overlap (%v)", overlap)
+	if overlap := rep.Breakdown.Overlap; overlap <= 0 {
+		t.Fatalf("multi-chunk transfer reported no overlap (%v)", overlap)
 	}
 }

@@ -89,7 +89,8 @@ type Shim struct {
 	now      func() time.Time
 	hoseCap  int
 
-	// seq is the shim's position in the global lock order (see lockShims).
+	// seq is the shim's position in the global lock order (see
+	// distinctBySeq).
 	seq uint64
 	// mu is the VM lock: it guards functions, coldStart, every guest call
 	// and every view over the VM's linear memory (including Function.out).
@@ -124,10 +125,9 @@ type Shim struct {
 var shimSeq atomic.Uint64
 
 // distinctBySeq deduplicates shims and orders them by ascending creation
-// sequence — THE global lock order. Both whole-transfer VM locking
-// (lockShims) and multicast pair-lock acquisition derive their ordering
-// from this one definition, so the deadlock-freedom invariant cannot drift
-// between them.
+// sequence — THE global lock order. Multicast pair-lock acquisition
+// derives its ordering from this one definition; VM locks never nest, so
+// they need no order.
 func distinctBySeq(shims []*Shim) []*Shim {
 	distinct := shims[:0:0]
 	for _, s := range shims {
@@ -144,25 +144,6 @@ func distinctBySeq(shims []*Shim) []*Shim {
 	}
 	sort.Slice(distinct, func(i, j int) bool { return distinct[i].seq < distinct[j].seq })
 	return distinct
-}
-
-// lockShims acquires the VM locks of every distinct shim in ascending
-// creation order — the single global lock order that keeps multi-shim
-// phase-locked transfers deadlock-free no matter which pairs overlap. The
-// returned slice (deduplicated, sorted) is what unlockShims expects.
-func lockShims(shims ...*Shim) []*Shim {
-	distinct := distinctBySeq(shims)
-	for _, s := range distinct {
-		s.mu.Lock()
-	}
-	return distinct
-}
-
-// unlockShims releases locks taken by lockShims (any order is safe).
-func unlockShims(locked []*Shim) {
-	for _, s := range locked {
-		s.mu.Unlock()
-	}
 }
 
 // NewShim creates the shim's sandbox and prepares the Wasm runtime. The

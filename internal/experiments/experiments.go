@@ -100,7 +100,8 @@ func Quick() Options {
 // single-queue scheduler baseline); version 8 added the fanoutshare
 // experiment (same-node delivery throughput vs fan-out degree, shared
 // egress vs the per-target ablation, with the 3x speedup bound at
-// degree >= 8).
+// degree >= 8). Removing the pipeline experiment and adding fanoutpar
+// changed no document layout, so neither bumped the version.
 const SchemaVersion = 8
 
 // Point is one (system, x) measurement carrying every panel of the paper's
@@ -270,16 +271,16 @@ var Registry = map[string]func(Options) (*Result, error){
 	"fig9":        Fig9,
 	"fig10":       Fig10,
 	"chancache":   ChanCache,
-	"pipeline":    Pipeline,
 	"placement":   Placement,
 	"failure":     Failure,
 	"hotpath":     Hotpath,
 	"fanoutshare": FanoutShare,
+	"fanoutpar":   FanoutPar,
 }
 
 // IDs lists the experiment identifiers, paper figures first.
 func IDs() []string {
-	return []string{"fig2a", "fig2b", "fig6", "fig7", "fig8", "fig9", "fig10", "chancache", "pipeline", "placement", "failure", "hotpath", "fanoutshare"}
+	return []string{"fig2a", "fig2b", "fig6", "fig7", "fig8", "fig9", "fig10", "chancache", "placement", "failure", "hotpath", "fanoutshare", "fanoutpar"}
 }
 
 // RunAll executes every experiment and prints the results.

@@ -226,41 +226,23 @@ func TestFig10FanoutShape(t *testing.T) {
 	}
 }
 
-// TestPipelineExperimentWin pins the staged pipeline's acceptance bar: on
-// 3-hop (and deeper) chains the pipelined regime's aggregate throughput
-// beats the phase-locked ablation by at least 25%, with a positive overlap
-// credit on the pipelined points and exactly zero on the phase-locked ones.
-// The overlap attribution is modeled from measured stage activity, so the
-// assertion is hardware-independent.
-func TestPipelineExperimentWin(t *testing.T) {
-	res, err := Pipeline(testOpts())
+// TestFanoutParReportsBound: the fan-out parallelism experiment measures
+// both arms on the same population and records the core count and whether
+// the 10% bound was met; the bound itself is wall-clock and core-count
+// dependent, so it is reported, never asserted here.
+func TestFanoutParReportsBound(t *testing.T) {
+	res, err := FanoutPar(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, depth := range []float64{3, 5} {
-		sys := bySystem(res.Points, depth)
-		pipe, lock := sys[SysRRChainPipelined], sys[SysRRChainLocked]
-		if pipe.Latency <= 0 || lock.Latency <= 0 {
-			t.Fatalf("depth %v: missing points %+v", depth, sys)
-		}
-		if lock.Breakdown.Overlap != 0 {
-			t.Fatalf("depth %v: phase-locked overlap = %v", depth, lock.Breakdown.Overlap)
-		}
-		if pipe.Breakdown.Overlap <= 0 {
-			t.Fatalf("depth %v: pipelined chain reported no overlap", depth)
-		}
-		// Race-detector instrumentation multiplies the cost of the
-		// goroutine hand-offs the overlapped stages make, skewing the
-		// wall-clock stage activity the model feeds on; the throughput
-		// ratio is only pinned in uninstrumented runs (the same guard
-		// TestFig7OrderingMatchesPaper uses).
-		if !raceEnabled && pipe.RPS < 1.25*lock.RPS {
-			t.Fatalf("depth %v: pipelined %.1f rps vs phase-locked %.1f rps — win below 25%%",
-				depth, pipe.RPS, lock.RPS)
+	sys := bySystem(res.Points, fanoutParDegree)
+	for _, name := range []string{SysPoolFanout, SysSequentialLoop} {
+		if pt, ok := sys[name]; !ok || pt.Latency <= 0 || pt.RPS <= 0 {
+			t.Fatalf("%s: missing or degenerate point %+v", name, pt)
 		}
 	}
-	if len(res.Notes) == 0 {
-		t.Fatal("pipeline experiment produced no headline notes")
+	if len(res.Notes) != 1 || !strings.Contains(res.Notes[0], "GOMAXPROCS=") || !strings.Contains(res.Notes[0], "met: ") {
+		t.Fatalf("notes %q lack the bound verdict", res.Notes)
 	}
 }
 

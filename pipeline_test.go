@@ -6,8 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,53 +13,34 @@ import (
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
 )
 
-// TestChainPhaseLockedAblation: the two regimes deliver identical payloads
-// and identical syscall/copy accounting; only the overlap attribution (and
-// therefore the critical-path latency) differs.
-func TestChainPhaseLockedAblation(t *testing.T) {
-	build := func() (*roadrunner.Platform, []*roadrunner.Function) {
-		p := newPlatform(t, roadrunner.WithDataHoseSize(64<<10))
-		fns := make([]*roadrunner.Function, 4)
-		for i := range fns {
-			node := "edge"
-			if i%2 == 1 {
-				node = "cloud"
-			}
-			fns[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("f%d", i), Node: node})
+// TestChainPipelinedOverlap: a 3-hop chain over multi-chunk payloads
+// delivers checksum-clean, reports a positive overlap credit, and so
+// reports a critical-path latency below the sum of its sequential laps.
+func TestChainPipelinedOverlap(t *testing.T) {
+	p := newPlatform(t, roadrunner.WithDataHoseSize(64<<10))
+	fns := make([]*roadrunner.Function, 4)
+	for i := range fns {
+		node := "edge"
+		if i%2 == 1 {
+			node = "cloud"
 		}
-		return p, fns
+		fns[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("f%d", i), Node: node})
 	}
 	const n = 256 << 10
-	run := func(opts []roadrunner.TransferOption) roadrunner.Report {
-		p, fns := build()
-		ref, rep, err := p.ChainWith(n, opts, fns...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err := fns[len(fns)-1].Checksum(ref)
-		if err != nil || sum != roadrunner.ExpectedChecksum(n) {
-			t.Fatalf("chain corrupted: %v", err)
-		}
-		return rep
+	ref, rep, err := p.Chain(n, fns...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pipelined := run(nil)
-	locked := run([]roadrunner.TransferOption{roadrunner.WithPhaseLocked(true)})
-
-	if pipelined.Usage.Syscalls != locked.Usage.Syscalls {
-		t.Fatalf("syscalls: pipelined %d != phase-locked %d", pipelined.Usage.Syscalls, locked.Usage.Syscalls)
+	sum, err := fns[len(fns)-1].Checksum(ref)
+	if err != nil || sum != roadrunner.ExpectedChecksum(n) {
+		t.Fatalf("chain corrupted: %v", err)
 	}
-	if pipelined.Usage.TotalCopyBytes() != locked.Usage.TotalCopyBytes() {
-		t.Fatalf("copies: pipelined %d != phase-locked %d",
-			pipelined.Usage.TotalCopyBytes(), locked.Usage.TotalCopyBytes())
+	bd := rep.Breakdown
+	if bd.Overlap <= 0 {
+		t.Fatal("multi-chunk chain reported no overlap")
 	}
-	if locked.Breakdown.Overlap != 0 {
-		t.Fatalf("phase-locked chain reported overlap %v", locked.Breakdown.Overlap)
-	}
-	if pipelined.Breakdown.Overlap <= 0 {
-		t.Fatal("pipelined multi-chunk chain reported no overlap")
-	}
-	if pipelined.Latency() >= locked.Latency() {
-		t.Fatalf("pipelined critical path %v not below phase-locked %v", pipelined.Latency(), locked.Latency())
+	if laps := bd.Setup + bd.Transfer + bd.WasmIO + bd.Network; rep.Latency() >= laps {
+		t.Fatalf("critical path %v not below summed laps %v", rep.Latency(), laps)
 	}
 }
 
@@ -236,117 +215,72 @@ func TestFanoutRunsOnWorkerPool(t *testing.T) {
 	}
 }
 
-// TestFanoutParallelThroughput asserts the aggregate-throughput win of the
-// pool-parallel fan-out over a strictly sequential delivery loop of the
-// same population. Both arms time the same work — delivering one payload
-// the source produced before either timer started — so the guest's
-// produce cost cannot tip the comparison: the parallel arm is the
-// delivery half of Fanout (one Plan Xfer per target, pinned to the
-// produced region, run across the worker pool), the sequential arm one
-// Transfer per target. The win requires real parallelism, so the
-// wall-clock assertion only runs with 2+ scheduler threads, and it
-// compares medians over repeated rounds; the structural properties are
-// asserted unconditionally above.
+// TestFanoutParallelThroughput pins the structure of the pool-parallel
+// fan-out the fanoutpar experiment times: both arms deliver one payload the
+// source produced up front — the parallel arm as one Plan Xfer per target
+// pinned to the produced region, the sequential arm as one Transfer per
+// target — every delivery is checksum-clean, and the Plan submits exactly
+// one pool task per target. The wall-clock comparison itself lives in
+// internal/experiments (FanoutPar), which reports it against its bound.
 func TestFanoutParallelThroughput(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("aggregate-throughput comparison needs 2+ CPUs")
-	}
-	const degree, n, rounds = 8, 512 << 10, 5
+	const degree, n = 8, 512 << 10
 	ctx := context.Background()
-	build := func() (*roadrunner.Platform, *roadrunner.Function, []*roadrunner.Function) {
-		p := newPlatform(t)
-		src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
-		targets := make([]*roadrunner.Function, degree)
-		for i := range targets {
-			targets[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("t%d", i), Node: "cloud"})
+	p := newPlatform(t)
+	src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+	targets := make([]*roadrunner.Function, degree)
+	for i := range targets {
+		targets[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("t%d", i), Node: "cloud"})
+	}
+	if err := src.Produce(n); err != nil {
+		t.Fatal(err)
+	}
+	verify := func(arm string, i int, ref roadrunner.DataRef) {
+		t.Helper()
+		sum, err := targets[i].Checksum(ref)
+		if err != nil || sum != roadrunner.ExpectedChecksum(n) {
+			t.Fatalf("%s target %d corrupted: %v", arm, i, err)
 		}
-		// Prime channels so both measurements are warm.
-		refs, _, err := p.Fanout(src, targets, n)
-		if err != nil {
+		if err := targets[i].Release(ref); err != nil {
 			t.Fatal(err)
 		}
-		for i, dst := range targets {
-			if err := dst.Release(refs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// The payload both arms deliver, produced outside every timer.
-		if err := src.Produce(n); err != nil {
-			t.Fatal(err)
-		}
-		return p, src, targets
 	}
 
-	p1, src1, targets1 := build()
-	si := src1.Instance(0)
+	si := src.Instance(0)
 	out, err := si.Output()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fanout := func() time.Duration {
-		pl := roadrunner.NewPlan()
-		nodes := make([]*roadrunner.PlanNode, degree)
-		for i, dst := range targets1 {
-			nodes[i] = pl.Xfer(src1, dst, roadrunner.WithSourceInstance(si),
-				roadrunner.WithSourceRef(out), roadrunner.WithFlows(degree))
+	pl := roadrunner.NewPlan()
+	nodes := make([]*roadrunner.PlanNode, degree)
+	for i, dst := range targets {
+		nodes[i] = pl.Xfer(src, dst, roadrunner.WithSourceInstance(si),
+			roadrunner.WithSourceRef(out), roadrunner.WithFlows(degree))
+	}
+	before := p.SchedulerStats().Submitted
+	job, err := p.Submit(ctx, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := job.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.SchedulerStats().Submitted - before; got != degree {
+		t.Fatalf("plan submitted %d pool tasks, want %d", got, degree)
+	}
+	for i, node := range nodes {
+		nr := res.Node(node)
+		if nr.Err != nil {
+			t.Fatal(nr.Err)
 		}
-		start := time.Now()
-		job, err := p1.Submit(ctx, pl)
+		verify("parallel", i, nr.Ref())
+	}
+
+	for i, dst := range targets {
+		ref, _, err := p.Transfer(src, dst, roadrunner.WithFlows(degree))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := job.Wait(ctx)
-		elapsed := time.Since(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, node := range nodes {
-			nr := res.Node(node)
-			if nr.Err != nil {
-				t.Fatal(nr.Err)
-			}
-			if err := targets1[i].Release(nr.Ref()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return elapsed
-	}
-
-	p2, src2, targets2 := build()
-	loop := func() time.Duration {
-		refs := make([]roadrunner.DataRef, degree)
-		start := time.Now()
-		for i, dst := range targets2 {
-			ref, _, err := p2.Transfer(src2, dst, roadrunner.WithFlows(degree))
-			if err != nil {
-				t.Fatal(err)
-			}
-			refs[i] = ref
-		}
-		elapsed := time.Since(start)
-		for i, dst := range targets2 {
-			if err := dst.Release(refs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return elapsed
-	}
-
-	par := make([]time.Duration, rounds)
-	seq := make([]time.Duration, rounds)
-	for r := range rounds {
-		par[r], seq[r] = fanout(), loop()
-	}
-	median := func(d []time.Duration) time.Duration {
-		slices.Sort(d)
-		return d[len(d)/2]
-	}
-	parallel, sequential := median(par), median(seq)
-	t.Logf("parallel fanout %v, sequential %v (medians of %d rounds)", parallel, sequential, rounds)
-
-	// Generous margin: the parallel fan-out must beat the sequential loop
-	// by at least 10% in aggregate throughput.
-	if float64(parallel) > 0.9*float64(sequential) {
-		t.Fatalf("parallel fanout %v vs sequential %v (medians of %d): no aggregate-throughput win", parallel, sequential, rounds)
+		verify("sequential", i, ref)
 	}
 }
