@@ -56,23 +56,29 @@ bench:
 	@cat BENCH_6.json
 	$(GO) run ./cmd/roadrunner-bench -exp hotpath -json > BENCH_8.json
 	@cat BENCH_8.json
+	$(GO) run ./cmd/roadrunner-bench -exp fanoutshare -json > BENCH_9.json
+	@cat BENCH_9.json
 	$(GO) run ./cmd/roadrunner-bench -exp fanoutpar
+	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 8 -mode fanout -targets 8 -compact | tee artifacts/load-fanout.json
 
-## perfgate: regenerate the hot-path trajectory and gate it against the
-## committed BENCH_8.json (CI's perf-gate job); also re-pins the allocation
-## ceilings (0 allocs/op on the warm transfer fast path)
+## perfgate: regenerate the hot-path and shared-egress fan-out trajectories
+## and gate them against the committed BENCH_8.json and BENCH_9.json (CI's
+## perf-gate job); also re-pins the allocation ceilings (0 allocs/op on the
+## warm transfer fast path)
 perfgate:
 	@mkdir -p artifacts
-	$(GO) run ./cmd/roadrunner-bench -exp hotpath -json > artifacts/bench8-fresh.json
-	$(GO) run ./cmd/perfgate -baseline BENCH_8.json -fresh artifacts/bench8-fresh.json
+	$(GO) run ./cmd/roadrunner-bench -exp hotpath,fanoutshare -json > artifacts/bench-fresh.json
+	$(GO) run ./cmd/perfgate -baseline BENCH_8.json,BENCH_9.json -fresh artifacts/bench-fresh.json
 	$(GO) test -run TestAllocCeilings -v .
 
 ## lint: go vet plus the roadvet suite (regionrelease, poolreturn,
 ## refbalance, gaugebalance, lockorder, lockguard, ctxpoll, errclass,
-## ctxcheck, doccheck and the gofmt gate)
+## ctxcheck, doccheck and the gofmt gate), then vet, gofmt and tests of the
+## nested e2ebench module, which the root ./... pattern does not reach
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/roadvet -budget ROADVET_BASELINE.json ./...
+	cd e2ebench && $(GO) vet ./... && test -z "$$(gofmt -l .)" && $(GO) test ./...
 
 ## staticcheck: static-analysis gate (CI's lint job; needs the binary or network)
 staticcheck:

@@ -9,7 +9,7 @@ import (
 // interpreter never re-parses LEB128 on the hot path — the "decode once,
 // execute many" design the Wasm runtimes Roadrunner targets use.
 type instr struct {
-	op   byte
+	op   uint16 // a core opcode, or a synthetic or fused one (opcodes.go)
 	imm0 uint64
 	imm1 uint64
 	tbl  []uint64 // br_table: one resolved target per arm, default last
@@ -140,7 +140,7 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 			return nil, err
 		}
 		pc := len(cf.code)
-		in := instr{op: op}
+		in := instr{op: uint16(op)}
 		switch op {
 		case opBlock, opLoop, opIf:
 			bt, err := r.s33()
@@ -392,15 +392,22 @@ func compileFunc(m *Module, fnIdx int) (*compiledFunc, error) {
 // superinstructions (opcodes.go lists the table), in place. A fused run's
 // first slot holds the superinstruction, which executes the whole run and
 // skips the rest; those slots keep their original instrs but are never
-// dispatched. No index moves, so every resolved branch target stays valid.
+// dispatched, and an immediate the first slot cannot hold is read from
+// them. No index moves, so every resolved branch target stays valid.
 //
 // No run may contain a branch target past its first slot, or a branch
 // would land mid-run. That holds by construction: every target is the
 // slot after a loop, end or else, or the final end (see compileFunc), and
 // a run holds no structured-control instr, so each later slot of a run
-// follows a fusable instr, never a marker.
+// follows a fusable instr, never a marker. A br or br_if may only end a
+// run.
+//
+// A load or store joins a run only when nothing before it in the run
+// writes memory or a global (in every form here only local.gets precede
+// it), so a trap leaves memory and globals exactly as the unfused body
+// does, with the same error.
 func fuse(code []instr) {
-	op := func(i int) byte {
+	op := func(i int) uint16 {
 		if i < len(code) {
 			return code[i].op
 		}
@@ -408,39 +415,91 @@ func fuse(code []instr) {
 	}
 	for i := 0; i < len(code); i += span(code[i].op) {
 		in := &code[i]
-		next := op(i + 1)
+		next, third := op(i+1), op(i+2)
 		switch {
-		case in.op == opLocalGet && next == opI32Const && op(i+2) == opI32Add:
+		case in.op == opLocalGet && next == opLocalGet && isI32Cmp(third) && op(i+3) == opBrIf:
+			*in = instr{op: opBrIfLocal2I32Eq + (third - opI32Eq), imm0: in.imm0, imm1: code[i+1].imm0}
+		case in.op == opLocalGet && isI32Cmp(next) && third == opBrIf:
+			in.op = opBrIfLocalI32Eq + (next - opI32Eq)
+		case in.op == opLocalGet && next == opLocalGet && local2Op(third) != 0:
+			*in = instr{op: local2Op(third), imm0: in.imm0, imm1: code[i+1].imm0}
+		case in.op == opLocalGet && next == opI32Const && third == opI32Add:
 			fused := instr{op: opLocalGetI32AddC, imm0: in.imm0, imm1: code[i+1].imm0}
 			if op(i+3) == opLocalSet && code[i+3].imm0 == in.imm0 {
 				fused.op = opLocalI32AddCSet
+				if op(i+4) == opBr && branchesToLoop(code, code[i+4].imm0) {
+					fused.op = opLocalStepBr
+				}
 			}
 			*in = fused
+		case in.op == opLocalGet && next == opI64Const && third == opI64Mul:
+			*in = instr{op: opLocalGetI64MulC, imm0: in.imm0, imm1: code[i+1].imm0}
+		case in.op == opLocalGet && (next == opI32Load8U || next == opI64Load8U):
+			*in = instr{op: opLocalLoad8U, imm0: in.imm0, imm1: code[i+1].imm0}
 		case in.op == opLocalGet && next == opLocalGet:
 			*in = instr{op: opLocalGet2, imm0: in.imm0, imm1: code[i+1].imm0}
 		case in.op == opI32Const && next == opI32Add:
 			in.op = opI32AddC
 		case in.op == opI32Const && next == opI32Mul:
 			in.op = opI32MulC
+		case in.op == opI64Const && (next == opI64Add || next == opI64Mul) && third == opLocalSet:
+			fused := instr{op: opI64AddCSet, imm0: in.imm0, imm1: code[i+2].imm0}
+			if next == opI64Mul {
+				fused.op = opI64MulCSet
+			}
+			*in = fused
 		case in.op == opI64Const && next == opI64Add:
 			in.op = opI64AddC
 		case in.op == opI64Const && next == opI64Mul:
 			in.op = opI64MulC
+		case in.op == opI64Add && next == opLocalSet:
+			*in = instr{op: opI64AddSet, imm0: code[i+1].imm0}
 		case in.op >= opI32Eqz && in.op <= opI64GeU && next == opBrIf:
 			*in = instr{op: opBrIfI32Eqz + (in.op - opI32Eqz), imm0: code[i+1].imm0, imm1: code[i+1].imm1}
 		}
 	}
 }
 
+// isI32Cmp reports whether op is a two-operand i32 comparison, i32.eq..i32.ge_u.
+func isI32Cmp(op uint16) bool { return op >= opI32Eq && op <= opI32GeU }
+
+// local2Op is the superinstruction for local.get a; local.get b; op, or 0
+// when op has none.
+func local2Op(op uint16) uint16 {
+	switch op {
+	case opI64Store:
+		return opLocal2I64Store
+	case opI32Store:
+		return opLocal2I32Store
+	case opI32Store8:
+		return opLocal2I32Store8
+	case opI64Load:
+		return opLocal2I64Load
+	}
+	return 0
+}
+
+// branchesToLoop reports whether a resolved branch target lands on a
+// loop's first instruction: only a loop's target is the slot after it.
+func branchesToLoop(code []instr, target uint64) bool {
+	pc := int(target >> 32)
+	return pc > 0 && code[pc-1].op == opLoop
+}
+
 // span is the number of slots an instr covers: its run's length for a
 // superinstruction, 1 for everything else.
-func span(op byte) int {
+func span(op uint16) int {
 	switch {
-	case op == opLocalI32AddCSet:
+	case op == opLocalStepBr:
+		return 5
+	case op == opLocalI32AddCSet, op >= opBrIfLocal2I32Eq && op <= opBrIfLocal2I32GeU:
 		return 4
-	case op == opLocalGetI32AddC:
+	case op == opLocalGetI32AddC, op >= opLocal2I64Store && op <= opLocal2I64Load,
+		op == opLocalGetI64MulC, op == opI64AddCSet, op == opI64MulCSet,
+		op >= opBrIfLocalI32Eq && op <= opBrIfLocalI32GeU:
 		return 3
-	case op == opLocalGet2, op >= opI32AddC && op <= opI64MulC, op >= opBrIfI32Eqz && op <= opBrIfI64GeU:
+	case op == opLocalGet2, op == opLocalLoad8U, op == opI64AddSet,
+		op >= opI32AddC && op <= opI64MulC, op >= opBrIfI32Eqz && op <= opBrIfI64GeU:
 		return 2
 	default:
 		return 1

@@ -190,72 +190,186 @@ func (inst *Instance) exec(cf *compiledFunc, st, locals []uint64, depth int) ([]
 		case opI64MulC:
 			st[sp-1] *= in.imm0
 			pc++
+		case opLocal2I64Store:
+			ea := uint64(uint32(locals[in.imm0])) + code[pc+2].imm0
+			if ea+8 > uint64(len(mem.data)) {
+				return nil, mem.store(ea, 8, locals[in.imm1])
+			}
+			binary.LittleEndian.PutUint64(mem.data[ea:], locals[in.imm1])
+			pc += 2
+		case opLocal2I32Store:
+			ea := uint64(uint32(locals[in.imm0])) + code[pc+2].imm0
+			if ea+4 > uint64(len(mem.data)) {
+				return nil, mem.store(ea, 4, locals[in.imm1])
+			}
+			binary.LittleEndian.PutUint32(mem.data[ea:], uint32(locals[in.imm1]))
+			pc += 2
+		case opLocal2I32Store8:
+			ea := uint64(uint32(locals[in.imm0])) + code[pc+2].imm0
+			if ea >= uint64(len(mem.data)) {
+				return nil, mem.store(ea, 1, locals[in.imm1])
+			}
+			mem.data[ea] = byte(locals[in.imm1])
+			pc += 2
+		case opLocal2I64Load:
+			ea := uint64(uint32(locals[in.imm1])) + code[pc+2].imm0
+			if ea+8 > uint64(len(mem.data)) {
+				_, err := mem.load(ea, 8)
+				return nil, err
+			}
+			st[sp] = locals[in.imm0]
+			st[sp+1] = binary.LittleEndian.Uint64(mem.data[ea:])
+			sp += 2
+			pc += 2
+		case opLocalLoad8U:
+			ea := uint64(uint32(locals[in.imm0])) + in.imm1
+			if ea >= uint64(len(mem.data)) {
+				_, err := mem.load(ea, 1)
+				return nil, err
+			}
+			st[sp] = uint64(mem.data[ea])
+			sp++
+			pc++
+		case opLocalGetI64MulC:
+			st[sp] = locals[in.imm0] * in.imm1
+			sp++
+			pc += 2
+		case opI64AddCSet:
+			sp--
+			locals[in.imm1] = st[sp] + in.imm0
+			pc += 2
+		case opI64MulCSet:
+			sp--
+			locals[in.imm1] = st[sp] * in.imm0
+			pc += 2
+		case opI64AddSet:
+			sp -= 2
+			locals[in.imm0] = st[sp] + st[sp+1]
+			pc++
+		case opLocalStepBr:
+			// The br targets a loop: it carries nothing and lands on loop+1.
+			locals[in.imm0] = uint64(uint32(locals[in.imm0]) + uint32(in.imm1))
+			t := code[pc+4].imm0
+			pc, sp = int(t>>32)-1, int(uint32(t))
+
+		case opBrIfLocal2I32Eq:
+			pc, sp = brIf(uint32(locals[in.imm0]) == uint32(locals[in.imm1]), st, sp, pc, 3, &code[pc+3])
+		case opBrIfLocal2I32Ne:
+			pc, sp = brIf(uint32(locals[in.imm0]) != uint32(locals[in.imm1]), st, sp, pc, 3, &code[pc+3])
+		case opBrIfLocal2I32LtS:
+			pc, sp = brIf(int32(locals[in.imm0]) < int32(locals[in.imm1]), st, sp, pc, 3, &code[pc+3])
+		case opBrIfLocal2I32LtU:
+			pc, sp = brIf(uint32(locals[in.imm0]) < uint32(locals[in.imm1]), st, sp, pc, 3, &code[pc+3])
+		case opBrIfLocal2I32GtS:
+			pc, sp = brIf(int32(locals[in.imm0]) > int32(locals[in.imm1]), st, sp, pc, 3, &code[pc+3])
+		case opBrIfLocal2I32GtU:
+			pc, sp = brIf(uint32(locals[in.imm0]) > uint32(locals[in.imm1]), st, sp, pc, 3, &code[pc+3])
+		case opBrIfLocal2I32LeS:
+			pc, sp = brIf(int32(locals[in.imm0]) <= int32(locals[in.imm1]), st, sp, pc, 3, &code[pc+3])
+		case opBrIfLocal2I32LeU:
+			pc, sp = brIf(uint32(locals[in.imm0]) <= uint32(locals[in.imm1]), st, sp, pc, 3, &code[pc+3])
+		case opBrIfLocal2I32GeS:
+			pc, sp = brIf(int32(locals[in.imm0]) >= int32(locals[in.imm1]), st, sp, pc, 3, &code[pc+3])
+		case opBrIfLocal2I32GeU:
+			pc, sp = brIf(uint32(locals[in.imm0]) >= uint32(locals[in.imm1]), st, sp, pc, 3, &code[pc+3])
+
+		case opBrIfLocalI32Eq:
+			sp--
+			pc, sp = brIf(uint32(st[sp]) == uint32(locals[in.imm0]), st, sp, pc, 2, &code[pc+2])
+		case opBrIfLocalI32Ne:
+			sp--
+			pc, sp = brIf(uint32(st[sp]) != uint32(locals[in.imm0]), st, sp, pc, 2, &code[pc+2])
+		case opBrIfLocalI32LtS:
+			sp--
+			pc, sp = brIf(int32(st[sp]) < int32(locals[in.imm0]), st, sp, pc, 2, &code[pc+2])
+		case opBrIfLocalI32LtU:
+			sp--
+			pc, sp = brIf(uint32(st[sp]) < uint32(locals[in.imm0]), st, sp, pc, 2, &code[pc+2])
+		case opBrIfLocalI32GtS:
+			sp--
+			pc, sp = brIf(int32(st[sp]) > int32(locals[in.imm0]), st, sp, pc, 2, &code[pc+2])
+		case opBrIfLocalI32GtU:
+			sp--
+			pc, sp = brIf(uint32(st[sp]) > uint32(locals[in.imm0]), st, sp, pc, 2, &code[pc+2])
+		case opBrIfLocalI32LeS:
+			sp--
+			pc, sp = brIf(int32(st[sp]) <= int32(locals[in.imm0]), st, sp, pc, 2, &code[pc+2])
+		case opBrIfLocalI32LeU:
+			sp--
+			pc, sp = brIf(uint32(st[sp]) <= uint32(locals[in.imm0]), st, sp, pc, 2, &code[pc+2])
+		case opBrIfLocalI32GeS:
+			sp--
+			pc, sp = brIf(int32(st[sp]) >= int32(locals[in.imm0]), st, sp, pc, 2, &code[pc+2])
+		case opBrIfLocalI32GeU:
+			sp--
+			pc, sp = brIf(uint32(st[sp]) >= uint32(locals[in.imm0]), st, sp, pc, 2, &code[pc+2])
+
 		case opBrIfI32Eqz:
 			sp--
-			pc, sp = brIf(uint32(st[sp]) == 0, st, sp, pc, in)
+			pc, sp = brIf(uint32(st[sp]) == 0, st, sp, pc, 1, in)
 		case opBrIfI32Eq:
 			sp -= 2
-			pc, sp = brIf(uint32(st[sp]) == uint32(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(uint32(st[sp]) == uint32(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI32Ne:
 			sp -= 2
-			pc, sp = brIf(uint32(st[sp]) != uint32(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(uint32(st[sp]) != uint32(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI32LtS:
 			sp -= 2
-			pc, sp = brIf(int32(st[sp]) < int32(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(int32(st[sp]) < int32(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI32LtU:
 			sp -= 2
-			pc, sp = brIf(uint32(st[sp]) < uint32(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(uint32(st[sp]) < uint32(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI32GtS:
 			sp -= 2
-			pc, sp = brIf(int32(st[sp]) > int32(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(int32(st[sp]) > int32(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI32GtU:
 			sp -= 2
-			pc, sp = brIf(uint32(st[sp]) > uint32(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(uint32(st[sp]) > uint32(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI32LeS:
 			sp -= 2
-			pc, sp = brIf(int32(st[sp]) <= int32(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(int32(st[sp]) <= int32(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI32LeU:
 			sp -= 2
-			pc, sp = brIf(uint32(st[sp]) <= uint32(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(uint32(st[sp]) <= uint32(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI32GeS:
 			sp -= 2
-			pc, sp = brIf(int32(st[sp]) >= int32(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(int32(st[sp]) >= int32(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI32GeU:
 			sp -= 2
-			pc, sp = brIf(uint32(st[sp]) >= uint32(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(uint32(st[sp]) >= uint32(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI64Eqz:
 			sp--
-			pc, sp = brIf(st[sp] == 0, st, sp, pc, in)
+			pc, sp = brIf(st[sp] == 0, st, sp, pc, 1, in)
 		case opBrIfI64Eq:
 			sp -= 2
-			pc, sp = brIf(st[sp] == st[sp+1], st, sp, pc, in)
+			pc, sp = brIf(st[sp] == st[sp+1], st, sp, pc, 1, in)
 		case opBrIfI64Ne:
 			sp -= 2
-			pc, sp = brIf(st[sp] != st[sp+1], st, sp, pc, in)
+			pc, sp = brIf(st[sp] != st[sp+1], st, sp, pc, 1, in)
 		case opBrIfI64LtS:
 			sp -= 2
-			pc, sp = brIf(int64(st[sp]) < int64(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(int64(st[sp]) < int64(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI64LtU:
 			sp -= 2
-			pc, sp = brIf(st[sp] < st[sp+1], st, sp, pc, in)
+			pc, sp = brIf(st[sp] < st[sp+1], st, sp, pc, 1, in)
 		case opBrIfI64GtS:
 			sp -= 2
-			pc, sp = brIf(int64(st[sp]) > int64(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(int64(st[sp]) > int64(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI64GtU:
 			sp -= 2
-			pc, sp = brIf(st[sp] > st[sp+1], st, sp, pc, in)
+			pc, sp = brIf(st[sp] > st[sp+1], st, sp, pc, 1, in)
 		case opBrIfI64LeS:
 			sp -= 2
-			pc, sp = brIf(int64(st[sp]) <= int64(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(int64(st[sp]) <= int64(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI64LeU:
 			sp -= 2
-			pc, sp = brIf(st[sp] <= st[sp+1], st, sp, pc, in)
+			pc, sp = brIf(st[sp] <= st[sp+1], st, sp, pc, 1, in)
 		case opBrIfI64GeS:
 			sp -= 2
-			pc, sp = brIf(int64(st[sp]) >= int64(st[sp+1]), st, sp, pc, in)
+			pc, sp = brIf(int64(st[sp]) >= int64(st[sp+1]), st, sp, pc, 1, in)
 		case opBrIfI64GeU:
 			sp -= 2
-			pc, sp = brIf(st[sp] >= st[sp+1], st, sp, pc, in)
+			pc, sp = brIf(st[sp] >= st[sp+1], st, sp, pc, 1, in)
 
 		// ---- memory ----
 		// Each access makes one inline comparison against the memory size;
@@ -779,13 +893,14 @@ func branch(st []uint64, sp int, target, arity uint64) (int, int) {
 	return int(target>>32) - 1, h + a
 }
 
-// brIf finishes a fused compare-and-br_if whose operands are popped: taken,
-// it branches; not taken, it skips the dead br_if slot.
-func brIf(cond bool, st []uint64, sp, pc int, in *instr) (int, int) {
+// brIf finishes a fused compare-and-br_if whose operands are consumed:
+// taken, it branches to br's resolved target; not taken, it skips the
+// run's dead slots, the br_if k slots past pc among them.
+func brIf(cond bool, st []uint64, sp, pc, k int, br *instr) (int, int) {
 	if cond {
-		return branch(st, sp, in.imm0, in.imm1)
+		return branch(st, sp, br.imm0, br.imm1)
 	}
-	return pc + 1, sp
+	return pc + k, sp
 }
 
 // doCall calls function fi with the top of the caller's stack st[:sp] as

@@ -1,6 +1,12 @@
 package wasm
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
+
+// InstrSize is the size of one compiled instruction slot.
+const InstrSize = unsafe.Sizeof(instr{})
 
 // InstantiateUnfused instantiates m exactly as Instantiate does, then swaps
 // every module-defined body for compileFunc's output before fuse: the
@@ -75,4 +81,53 @@ func CheckFusedLayout(m *Module) (int, error) {
 		}
 	}
 	return fused, nil
+}
+
+// LoopDispatches compiles and fuses every exported function body of m and,
+// for each loop in body order, counts the dispatches on the straight path
+// from loop+1 to the br that closes the loop: one per live slot, a fused
+// run counting once. A loop no br closes counts -1.
+func LoopDispatches(m *Module) (map[string][]int, error) {
+	names := map[uint32]string{}
+	for _, e := range m.Exports {
+		if e.Kind == ExternFunc {
+			names[e.Index] = e.Name
+		}
+	}
+	loops := map[string][]int{}
+	for fn := range m.Codes {
+		name, ok := names[uint32(m.NumImportedFuncs+fn)]
+		if !ok {
+			continue
+		}
+		cf, err := compileFunc(m, fn)
+		if err != nil {
+			return nil, err
+		}
+		code := cf.code
+		fuse(code)
+		for l := range code {
+			if code[l].op == opLoop {
+				loops[name] = append(loops[name], backEdgeDispatches(code, l))
+			}
+		}
+	}
+	return loops, nil
+}
+
+// backEdgeDispatches walks the live slots from the loop at l to the first
+// run holding a br back to it.
+func backEdgeDispatches(code []instr, l int) int {
+	n := 0
+	for i := l + 1; i < len(code); {
+		n++
+		k := span(code[i].op)
+		for _, in := range code[i : i+k] {
+			if in.op == opBr && int(in.imm0>>32) == l+1 {
+				return n
+			}
+		}
+		i += k
+	}
+	return -1
 }

@@ -26,7 +26,12 @@ type fusionCase struct {
 // loops whose first instruction starts a fusible run, end and else
 // followed by a run, br_if at loop heads and as a back-edge, br_table
 // carrying a value past junk, calls, and traps mid-run after memory and
-// global writes. Every function is exported as "f".
+// global writes. The operand-folding forms add every i32 compare on
+// locals (aliased operands included), a value-carrying br_if out of a
+// folded compare, folded loads and stores at the last valid byte and one
+// past, traps after folded stores, local.sets whose target the run also
+// reads, and induction steps followed by a br to a block rather than a
+// loop. Every function is exported as "f".
 var fusionCorpus = []fusionCase{
 	{
 		name: "nested-blocks",
@@ -207,6 +212,161 @@ var fusionCorpus = []fusionCase{
 		},
 		args: [][]uint64{{1}, {5}, {6}},
 	},
+	{
+		name: "local-compares",
+		build: func(b *wasmbuild.Builder) {
+			// Every i32 comparison with both operands from locals, aliased,
+			// with the left one on the stack, and with both on the stack,
+			// then every i64 comparison: bit k of the result is set when
+			// the k-th br_if falls through.
+			f := b.NewFunc("f", []wasm.ValType{i32, i32}, []wasm.ValType{i64})
+			acc := f.AddLocal(i64)
+			bit := int64(1)
+			fallThrough := func() {
+				f.LocalGet(acc).I64Const(bit).I64Or().LocalSet(acc).End()
+				bit <<= 1
+			}
+			for cmp := byte(0x46); cmp <= 0x4F; cmp++ { // i32.eq..i32.ge_u
+				f.Block().LocalGet(0).LocalGet(1).Raw(cmp).BrIf(0)
+				fallThrough()
+				f.Block().LocalGet(1).LocalGet(1).Raw(cmp).BrIf(0)
+				fallThrough()
+				f.Block().LocalGet(0).I32Const(8).I32Add().LocalGet(1).Raw(cmp).BrIf(0)
+				fallThrough()
+				f.Block().LocalGet(0).I32Const(1).I32Xor().LocalGet(1).I32Const(3).I32Xor().Raw(cmp).BrIf(0)
+				fallThrough()
+			}
+			for cmp := byte(0x51); cmp <= 0x5A; cmp++ { // i64.eq..i64.ge_u, on the stack
+				f.Block().LocalGet(0).I64ExtendI32S().LocalGet(1).I64ExtendI32U().Raw(cmp).BrIf(0)
+				fallThrough()
+			}
+			f.LocalGet(acc)
+		},
+		args: [][]uint64{{0, 0}, {1, 2}, {2, 1}, {7, 7}, {0x7FFFFFFF, 0x80000000}, {0x80000000, 0x7FFFFFFF},
+			{0xFFFFFFFF, 0}, {0, 0xFFFFFFFF}, {0xFFFFFFF8, 0}, {0x7FFFFFF8, 0x80000000}},
+	},
+	{
+		name: "value-br-if",
+		build: func(b *wasmbuild.Builder) {
+			// Each br_if out of a folded compare carries the value under
+			// its operands past a junk value below it.
+			f := b.NewFunc("f", []wasm.ValType{i32, i32}, []wasm.ValType{i32})
+			f.BlockT(i32).
+				I32Const(7).I32Const(100).LocalGet(0).LocalGet(1).I32LtU().BrIf(0).
+				I32Add().
+				End().
+				BlockT(i32).
+				I32Const(9).I32Const(1000).I32Const(5).LocalGet(0).I32GtS().BrIf(0).
+				I32Add().
+				End().
+				I32Add()
+		},
+		args: [][]uint64{{0, 0}, {1, 2}, {9, 3}, {0xFFFFFFFF, 0}},
+		want: []uint64{1107, 1100, 1116, 1107},
+	},
+	{
+		name: "folded-memory",
+		build: func(b *wasmbuild.Builder) {
+			// Folded stores and loads, aliased and at offsets, near the end
+			// of memory: the upper arguments put the last valid byte and one
+			// past under each access, so some calls trap after earlier
+			// folded stores landed.
+			b.Memory(1, 1, "memory")
+			f := b.NewFunc("f", []wasm.ValType{i32}, []wasm.ValType{i64})
+			v := f.AddLocal(i64)
+			w := f.AddLocal(i32)
+			f.LocalGet(0).I64ExtendI32U().I64Const(0x0101010101010101).I64Mul().LocalSet(v).
+				LocalGet(0).I32Const(3).I32Mul().I32Const(1).I32Add().LocalSet(w).
+				LocalGet(0).LocalGet(0).I32Store(0).
+				LocalGet(0).LocalGet(w).I32Store8(2).
+				LocalGet(0).LocalGet(0).I32Store8(5).
+				LocalGet(0).LocalGet(v).I64Store(8).
+				LocalGet(0).LocalGet(w).I32Store(12).
+				LocalGet(v).LocalGet(0).I64Load(4).I64Sub().
+				LocalGet(0).I64Load8U(9).I64Add().
+				LocalGet(0).I32Load8U(5).I64ExtendI32U().I64Add()
+		},
+		args: [][]uint64{{0}, {100}, {65520}, {65521}, {65531}, {65532}, {65533}, {0xFFFFFFFF}},
+	},
+	{
+		name: "folded-store-loop-trap",
+		build: func(b *wasmbuild.Builder) {
+			// A loop of folded stores and loads that runs off the end of
+			// memory: the trap leaves every earlier store behind.
+			b.Memory(1, 1, "memory")
+			f := b.NewFunc("f", []wasm.ValType{i32}, []wasm.ValType{i64})
+			v := f.AddLocal(i64)
+			f.Block().Loop().
+				LocalGet(0).LocalGet(v).I64Store(0).
+				LocalGet(v).I64Const(6364136223846793005).I64Mul().I64Const(1).I64Add().LocalSet(v).
+				LocalGet(v).LocalGet(0).I64Load(3).I64Xor().LocalSet(v).
+				LocalGet(0).I32Const(4093).I32Add().LocalSet(0).
+				Br(0).
+				End().End().
+				LocalGet(v)
+		},
+		args: [][]uint64{{0}, {7}, {65528}, {65529}},
+	},
+	{
+		name: "set-target-is-source",
+		build: func(b *wasmbuild.Builder) {
+			// Each local.set writes a local its run also reads; the last
+			// step sets a different local than it reads, so it is no
+			// induction step.
+			f := b.NewFunc("f", []wasm.ValType{i32}, []wasm.ValType{i64})
+			i := f.AddLocal(i32)
+			j := f.AddLocal(i32)
+			x := f.AddLocal(i64)
+			f.LocalGet(0).I64ExtendI32U().LocalSet(x).
+				Block().Loop().
+				LocalGet(i).LocalGet(0).I32GeU().BrIf(1).
+				LocalGet(x).I64Const(3).I64Mul().LocalGet(x).I64Add().LocalSet(x).
+				LocalGet(x).I64Const(-5).I64Add().LocalSet(x).
+				LocalGet(x).I64Const(7).I64Mul().LocalSet(x).
+				LocalGet(x).LocalGet(x).I64Add().LocalSet(x).
+				LocalGet(i).LocalSet(j).
+				LocalGet(j).I32Const(1).I32Add().LocalSet(i).
+				Br(0).
+				End().End().
+				LocalGet(x)
+		},
+		args: [][]uint64{{0}, {1}, {2}, {77}},
+	},
+	{
+		name: "step-br-targets",
+		build: func(b *wasmbuild.Builder) {
+			// Induction steps followed by a br to a block that carries a
+			// value, to a block that carries none, and to the loop with a
+			// junk value on the stack.
+			f := b.NewFunc("f", []wasm.ValType{i32}, []wasm.ValType{i32})
+			i := f.AddLocal(i32)
+			acc := f.AddLocal(i32)
+			f.Block().Loop().
+				LocalGet(i).LocalGet(0).I32GeU().BrIf(1).
+				BlockT(i32).
+				I32Const(5).
+				LocalGet(acc).I32Const(3).I32Add().LocalSet(acc).Br(0).
+				End().
+				LocalGet(acc).I32Add().LocalSet(acc).
+				Block().
+				LocalGet(acc).I32Const(1).I32Add().LocalSet(acc).Br(0).
+				End().
+				I32Const(99).
+				LocalGet(i).I32Const(1).I32Add().LocalSet(i).Br(0).
+				End().End().
+				// A second loop whose only in-loop branch is the step's
+				// back-edge, which must drop the junk every iteration.
+				I32Const(0).LocalSet(i).
+				Block().Loop().
+				LocalGet(i).LocalGet(0).I32GeU().BrIf(1).
+				I32Const(99).
+				LocalGet(i).I32Const(1).I32Add().LocalSet(i).Br(0).
+				End().End().
+				LocalGet(acc).LocalGet(i).I32Add()
+		},
+		args: [][]uint64{{0}, {1}, {10}},
+		want: []uint64{0, 10, 100},
+	},
 }
 
 // errorsAlike reports whether two call errors agree: both nil, or the same
@@ -348,9 +508,10 @@ func TestFusionGuestProduceConsume(t *testing.T) {
 }
 
 // TestInlineBoundsChecksKeepTraps probes the inline fast paths of the
-// loads and stores at the last valid address and one past it: the first
-// succeeds, the second returns TrapOutOfBounds with the message the
-// Memory accessors have always produced.
+// loads and stores, plain and folded with their local operands, at the
+// last valid address and one past it: the first succeeds, the second
+// returns TrapOutOfBounds with the message the Memory accessors have
+// always produced.
 func TestInlineBoundsChecksKeepTraps(t *testing.T) {
 	b := wasmbuild.New()
 	b.Memory(1, 1, "memory")
@@ -359,6 +520,14 @@ func TestInlineBoundsChecksKeepTraps(t *testing.T) {
 	b.NewFunc("i64.store", []wasm.ValType{i32}, nil).LocalGet(0).I64Const(-1).I64Store(0)
 	b.NewFunc("i32.store8", []wasm.ValType{i32}, nil).LocalGet(0).I32Const(0xAB).I32Store8(0)
 	b.NewFunc("i64.load8_u", []wasm.ValType{i32}, []wasm.ValType{i64}).LocalGet(0).I64Load8U(0)
+	b.NewFunc("i32.load8_u", []wasm.ValType{i32}, []wasm.ValType{i32}).LocalGet(0).I32Load8U(0)
+	// Operand-folding forms: address and value straight from locals.
+	st64 := b.NewFunc("local2.i64.store", []wasm.ValType{i32}, nil)
+	st64.LocalGet(0).LocalGet(st64.AddLocal(i64)).I64Store(0)
+	b.NewFunc("local2.i32.store", []wasm.ValType{i32}, nil).LocalGet(0).LocalGet(0).I32Store(0)
+	b.NewFunc("local2.i32.store8", []wasm.ValType{i32}, nil).LocalGet(0).LocalGet(0).I32Store8(0)
+	ld64 := b.NewFunc("local2.i64.load+8", []wasm.ValType{i32}, []wasm.ValType{i64})
+	ld64.LocalGet(ld64.AddLocal(i64)).LocalGet(0).I64Load(8).I64Xor()
 	fused, unfused, _ := fusedPair(t, b.Build(), nil)
 
 	const size = wasm.PageSize
@@ -372,6 +541,11 @@ func TestInlineBoundsChecksKeepTraps(t *testing.T) {
 		{"i64.store", size - 8, "store64 at 65529 of 65536: wasm trap: out-of-bounds memory access"},
 		{"i32.store8", size - 1, "store8 at 65536 of 65536: wasm trap: out-of-bounds memory access"},
 		{"i64.load8_u", size - 1, "load8 at 65536 of 65536: wasm trap: out-of-bounds memory access"},
+		{"i32.load8_u", size - 1, "load8 at 65536 of 65536: wasm trap: out-of-bounds memory access"},
+		{"local2.i64.store", size - 8, "store64 at 65529 of 65536: wasm trap: out-of-bounds memory access"},
+		{"local2.i32.store", size - 4, "store32 at 65533 of 65536: wasm trap: out-of-bounds memory access"},
+		{"local2.i32.store8", size - 1, "store8 at 65536 of 65536: wasm trap: out-of-bounds memory access"},
+		{"local2.i64.load+8", size - 16, "load64 at 65529 of 65536: wasm trap: out-of-bounds memory access"},
 	}
 	for _, inst := range []*wasm.Instance{fused, unfused} {
 		for _, c := range cases {
@@ -388,9 +562,11 @@ func TestInlineBoundsChecksKeepTraps(t *testing.T) {
 		}
 		// The effective address is a 64-bit sum: base + offset past 4 GiB
 		// traps instead of wrapping around.
-		_, err := inst.Call("i64.load+8", 0xFFFFFFFF)
-		if want := "load64 at 4294967303 of 65536: wasm trap: out-of-bounds memory access"; err == nil || err.Error() != want {
-			t.Fatalf("wrapping load: err = %v, want %q", err, want)
+		for _, fn := range []string{"i64.load+8", "local2.i64.load+8"} {
+			_, err := inst.Call(fn, 0xFFFFFFFF)
+			if want := "load64 at 4294967303 of 65536: wasm trap: out-of-bounds memory access"; err == nil || err.Error() != want {
+				t.Fatalf("wrapping %s: err = %v, want %q", fn, err, want)
+			}
 		}
 	}
 }
@@ -433,5 +609,45 @@ func TestFusedRegionTraps(t *testing.T) {
 	}
 	if got := call1(t, fused, "div32", 7, 2); got != 3 {
 		t.Fatalf("div32(7, 2) = %d", got)
+	}
+}
+
+// TestHotLoopDispatches pins the dispatches per iteration of the loops the
+// interpreter spends its time in, so a fuse change that un-fuses one fails
+// here rather than only in a benchmark: the guest's produce and consume
+// word loops (8 bytes per iteration) and BenchmarkInterpreterLoop's body.
+func TestHotLoopDispatches(t *testing.T) {
+	loops := func(bin []byte) map[string][]int {
+		t.Helper()
+		m, err := wasm.Decode(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := wasm.LoopDispatches(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	// Fusion adds no instr field: immediates a superinstruction cannot hold
+	// stay in its run's dead slots.
+	if wasm.InstrSize != 48 {
+		t.Errorf("instr is %d bytes, want 48", wasm.InstrSize)
+	}
+	g, bench := loops(guest.Module()), loops(interpreterLoopModule())
+	for _, c := range []struct {
+		name string
+		got  []int
+		max  int
+	}{
+		{"guest produce word loop", g[guest.ExportProduce], 6},
+		{"guest consume word loop", g[guest.ExportConsume], 5},
+		{"BenchmarkInterpreterLoop body", bench["sum"], 5},
+	} {
+		if len(c.got) == 0 || c.got[0] < 1 || c.got[0] > c.max {
+			t.Errorf("%s: %v dispatches per iteration (first loop), want 1..%d", c.name, c.got, c.max)
+		} else {
+			t.Logf("%s: %d dispatches per iteration", c.name, c.got[0])
+		}
 	}
 }

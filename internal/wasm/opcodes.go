@@ -242,3 +242,50 @@ const (
 	opBrIfI64GeS = 0xD9
 	opBrIfI64GeU = 0xDA
 )
+
+// Operand-folding superinstructions, past the one-byte opcode space (which
+// is why instr.op is a uint16). An operand comes straight from a local or a
+// constant, and a result goes straight into a local, instead of travelling
+// through the operand stack. An immediate the fused instr cannot hold (a
+// memarg offset, a branch's target and arity) is read from the run's dead
+// slot that still holds it.
+const (
+	opLocal2I64Store  = 0x100 // local.get a; local.get b; i64.store
+	opLocal2I32Store  = 0x101 // local.get a; local.get b; i32.store
+	opLocal2I32Store8 = 0x102 // local.get a; local.get b; i32.store8
+	opLocal2I64Load   = 0x103 // local.get a; local.get b; i64.load: pushes a, then the word at b
+	opLocalLoad8U     = 0x104 // local.get a; i32.load8_u or i64.load8_u
+	opLocalGetI64MulC = 0x105 // local.get a; i64.const c; i64.mul
+	opI64AddCSet      = 0x106 // i64.const c; i64.add; local.set x
+	opI64MulCSet      = 0x107 // i64.const c; i64.mul; local.set x
+	opI64AddSet       = 0x108 // i64.add; local.set x
+	opLocalStepBr     = 0x109 // local.get a; i32.const c; i32.add; local.set a; br L, L a loop
+
+	// opBrIfLocal2I32Eq..opBrIfLocal2I32GeU fuse local.get a; local.get b;
+	// an i32 comparison (i32.eq..i32.ge_u); br_if: opBrIfLocal2I32Eq +
+	// (cmp - opI32Eq).
+	opBrIfLocal2I32Eq  = 0x110
+	opBrIfLocal2I32Ne  = 0x111
+	opBrIfLocal2I32LtS = 0x112
+	opBrIfLocal2I32LtU = 0x113
+	opBrIfLocal2I32GtS = 0x114
+	opBrIfLocal2I32GtU = 0x115
+	opBrIfLocal2I32LeS = 0x116
+	opBrIfLocal2I32LeU = 0x117
+	opBrIfLocal2I32GeS = 0x118
+	opBrIfLocal2I32GeU = 0x119
+
+	// opBrIfLocalI32Eq..opBrIfLocalI32GeU fuse local.get b; an i32
+	// comparison; br_if, the left operand already on the stack:
+	// opBrIfLocalI32Eq + (cmp - opI32Eq).
+	opBrIfLocalI32Eq  = 0x120
+	opBrIfLocalI32Ne  = 0x121
+	opBrIfLocalI32LtS = 0x122
+	opBrIfLocalI32LtU = 0x123
+	opBrIfLocalI32GtS = 0x124
+	opBrIfLocalI32GtU = 0x125
+	opBrIfLocalI32LeS = 0x126
+	opBrIfLocalI32LeU = 0x127
+	opBrIfLocalI32GeS = 0x128
+	opBrIfLocalI32GeU = 0x129
+)

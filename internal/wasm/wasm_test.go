@@ -743,7 +743,9 @@ func TestExportsListing(t *testing.T) {
 	}
 }
 
-func BenchmarkInterpreterLoop(b *testing.B) {
+// interpreterLoopModule exports sum(n), a counted i64 sum over 0..n-1: the
+// loop BenchmarkInterpreterLoop times and TestHotLoopDispatches pins.
+func interpreterLoopModule() []byte {
 	bld := wasmbuild.New()
 	f := bld.NewFunc("sum", []wasm.ValType{wasm.I32}, []wasm.ValType{wasm.I64})
 	i := f.AddLocal(wasm.I32)
@@ -754,7 +756,11 @@ func BenchmarkInterpreterLoop(b *testing.B) {
 		LocalGet(i).I32Const(1).I32Add().LocalSet(i).
 		Br(0).End().End().
 		LocalGet(acc)
-	m, err := wasm.Decode(bld.Build())
+	return bld.Build()
+}
+
+func BenchmarkInterpreterLoop(b *testing.B) {
+	m, err := wasm.Decode(interpreterLoopModule())
 	if err != nil {
 		b.Fatal(err)
 	}
